@@ -2,8 +2,17 @@
 
 Subcommands: simulate (the synthetic grid), emse (real-data empirical MSE),
 toy (the one-predictor study), diagnose (theory checkers on one seeded
-draw), and olhd (print a low-correlation design). Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numerical failure after retries.
+draw), and olhd (print a low-correlation design).
+
+Exit codes, each failure reported as one line on stderr:
+
+* 0 success
+* 2 configuration error: ``ConfigError``, or ``InfeasibleDesign`` when the
+  requested r and p cannot give a nonsingular design
+* 3 data error: ``DataError``, a missing data file, or ``DegenerateBox``
+  when a predictor column leaves a zero-width theta box
+* 4 numerical failure: a cell that failed after retries, or any other
+  ``LowconError``
 
 The environment variable LOWCON_OUTPUT_DIR, when set, redirects every output
 file into that directory (basenames preserved); everything else comes from
@@ -20,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .designs import generate_olhd
-from .exceptions import ConfigError, DataError
+from .exceptions import (
+    ConfigError,
+    DataError,
+    DegenerateBox,
+    InfeasibleDesign,
+    LowconError,
+)
 from .harness import (
     diagnose,
     ingest_csv,
@@ -165,12 +180,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleDesign) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, DegenerateBox, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except LowconError as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -13,10 +13,6 @@ class InfeasibleDesign(LowconError):
     """Requested design cannot have a nonsingular information matrix."""
 
 
-class Exhausted(LowconError):
-    """Nearest-neighbor query with every candidate point excluded."""
-
-
 class ConstantColumn(LowconError):
     """Column has zero range and cannot be scaled to [-1, 1]."""
 

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import datagen
 from .datagen import DISTRIBUTIONS, MISSPECIFICATIONS, beta_layout
-from .estimators import fit_huber_m, fit_sls, worst_case_mse
+from .estimators import (
+    fit_huber_m,
+    fit_sls,
+    trace_inv_bound,
+    weyl_kappa_bound,
+    worst_case_mse,
+)
 from .exceptions import (
     ColumnMissing,
     ConfigError,
@@ -91,6 +97,13 @@ class ExperimentConfig:
             )
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
+        if self.mode in ("simulate", "diagnose"):
+            min_dim = datagen._MIN_DIM[self.misspec]
+            if self.p < min_dim:
+                raise ConfigError(
+                    f"misspec {self.misspec} references coordinate {min_dim}, "
+                    f"so p must be at least {min_dim}, got p={self.p}"
+                )
         if self.r_list is None:
             object.__setattr__(
                 self, "r_list", tuple(2 * self.p * k for k in range(1, 6))
@@ -481,10 +494,8 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
         holds = float(sL[-1]) > s1D
         kappa_slack = trace_slack = None
         if holds:
-            kb = ((sL[0] + s1D) / (sL[-1] - s1D)) ** 2
-            tb = L.shape[1] / (sL[-1] - s1D) ** 2
-            kappa_slack = float(kb - kappa_actual)
-            trace_slack = float(tb - trace_actual)
+            kappa_slack = weyl_kappa_bound(L, D) - kappa_actual
+            trace_slack = trace_inv_bound(L, D) - trace_actual
         entries.append(DiagnoseEntry(
             method=m, r=r, kappa_sub=sel.diagnostics.kappa_sub,
             worst_case_bound=bound, s1_perturbation=s1D,

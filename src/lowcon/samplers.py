@@ -19,9 +19,8 @@ from .designs import (
     generate_olhd,
     rescale_design,
 )
-from .exceptions import ConstantColumn
+from .exceptions import ConstantColumn, DegenerateBox
 from .linalg import condition_number, leverage_scores
-from .neighbors import build_index, nearest
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,24 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
 
     Uses linear-interpolation quantiles; theta = 0 returns the full
     [-1, 1]^p cube exactly (the scaled column extremes are exactly +-1).
+
+    Raises
+    ------
+    DegenerateBox
+        When a column's two percentiles coincide, as for a 0/1 column whose
+        minority value is rarer than theta percent; the message names the
+        column indices.
     """
     if not 0.0 <= theta < 50.0:
         raise ValueError("theta must lie in [0, 50) percent")
     lo = np.quantile(X_scaled, theta / 100.0, axis=0)
     hi = np.quantile(X_scaled, 1.0 - theta / 100.0, axis=0)
+    flat = np.nonzero(lo >= hi)[0]
+    if flat.size:
+        raise DegenerateBox(
+            f"columns {flat.tolist()} have a zero-width theta box at "
+            f"theta={theta}: their {theta} and {100.0 - theta} percentiles coincide"
+        )
     return Box(lower=lo, upper=hi)
 
 
@@ -143,14 +155,15 @@ def lowcon(
         r, p, rng, kappa_target=kappa_target, max_restarts=max_restarts
     )
     design = rescale_design(canonical, box)
-    index = build_index(X_scaled)
     claimed = np.zeros(n, dtype=bool)
     indices = np.empty(r, dtype=np.intp)
     dists = np.empty(r)
     for i, point in enumerate(design.points):
-        j, d = nearest(index, point, excluded=claimed if unique else None)
+        d2 = ((X_scaled - point) ** 2).sum(axis=1)
+        d2[claimed] = np.inf
+        j = int(np.argmin(d2))  # first minimum: ties go to the lowest row
         indices[i] = j
-        dists[i] = d
+        dists[i] = np.sqrt(d2[j])
         if unique:
             claimed[j] = True
     diag = SelectionDiagnostics(

@@ -13,7 +13,6 @@ import pytest
 
 from lowcon import (
     ExperimentConfig,
-    build_index,
     gen_predictors,
     generate_olhd,
     ingest_csv,
@@ -21,9 +20,9 @@ from lowcon import (
     lhd_levels,
     lowcon,
     mse_decompose,
-    nearest,
     run_emse,
     run_simulation,
+    scale_to_cube,
     singular_values,
     toy_config,
     trace_inv_bound,
@@ -213,13 +212,16 @@ def test_criterion_8_oracle_suites():
     dense = np.diag(X @ np.linalg.inv(X.T @ X) @ X.T)
     assert np.allclose(leverage_scores(X), dense, atol=1e-10)
 
+    # LOWCON's claim step against a linear scan over the unclaimed rows
     pts = rng.standard_normal((800, 4))
-    index = build_index(pts)
-    for _ in range(200):
-        q = rng.standard_normal(4)
-        d2 = ((pts - q) ** 2).sum(axis=1)
-        expect = (int(np.argmin(d2)), float(np.sqrt(d2.min())))
-        assert nearest(index, q) == expect
+    sel = lowcon(pts, 200, rng=rng, keep_design=True)
+    scaled, _ = scale_to_cube(pts)
+    free = np.ones(len(pts), dtype=bool)
+    for q, got in zip(sel.design.points, sel.indices):
+        rows = np.flatnonzero(free)
+        d2 = ((scaled[rows] - q) ** 2).sum(axis=1)
+        assert got == rows[np.argmin(d2)]
+        free[got] = False
 
     A = rng.standard_normal((9, 4))
     ev = np.linalg.eigvalsh(A.T @ A)[::-1]

@@ -129,3 +129,60 @@ def test_olhd_prints_design(capsys):
     assert len(out) == 10  # header plus nine design rows
     kappa = float(out[0].split()[0].split("=")[1])
     assert kappa <= 1.13
+
+
+def test_misspec_needing_more_dimensions_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "dist": "D1", "misspec": "H3", "n": 200, "p": 5,
+        "r_list": [12], "replicates": 1,
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "H3" in err and "p=5" in err
+
+
+def test_infeasible_design_exit_code(capsys):
+    assert main(["olhd", "--r", "3", "--p", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _write_csv(path, header, columns):
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _emse_args(tmp_path, data, methods):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "realdata", "r_list": [20], "replicates": 1, "seed": 1,
+        "methods": methods,
+    }))
+    return ["emse", "--config", str(cfg), "--data", str(data),
+            "--response", "y", "--predictors", "a,b"]
+
+
+def test_degenerate_theta_box_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(1000)
+    b = (np.arange(1000) < 5).astype(float)  # 0/1 column with 0.5% ones
+    y = a + b + 0.1 * rng.standard_normal(1000)
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [y, a, b])
+    assert main(_emse_args(tmp_path, data, ["LOWCON"])) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error:") and "columns [1]" in err[0]
+
+
+def test_other_package_error_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(100)
+    y = a + 0.1 * rng.standard_normal(100)
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [y, a, 2.0 * a])  # collinear predictors
+    assert main(_emse_args(tmp_path, data, ["UNIF"])) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")

@@ -72,6 +72,14 @@ class TestThetaBox:
         with pytest.raises(DegenerateBox):
             theta_box(col, 10.0)
 
+    def test_degenerate_box_names_columns_and_theta(self):
+        rng = np.random.default_rng(3)
+        binary = (np.arange(1000) < 5).astype(float)  # 0.5% ones
+        X = np.column_stack([rng.standard_normal(1000), binary])
+        scaled, _ = scale_to_cube(X)
+        with pytest.raises(DegenerateBox, match=r"columns \[1\].*theta=1\.0"):
+            theta_box(scaled, 1.0)
+
     def test_theta_range_validated(self):
         with pytest.raises(ValueError):
             theta_box(np.zeros((10, 1)), 50.0)
@@ -312,3 +320,55 @@ class TestLowcon:
         X = np.random.default_rng(35).standard_normal((10, 2))
         with pytest.raises(ValueError):
             lowcon(X, 10, rng=np.random.default_rng(0))
+
+
+def greedy_claim_oracle(X, design_points, unique=True):
+    """Brute-force claim step: for each design point in order, rank every
+    row by (squared distance, row index) and take the first row not yet
+    claimed. Returns the claimed rows and how many claims were exact ties."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    scaled = 2.0 * (X - lo) / (hi - lo) - 1.0
+    claimed = set()
+    rows, dists, ties = [], [], 0
+    for q in design_points:
+        d2 = ((scaled - q) ** 2).sum(axis=1)
+        free = [i for i in np.lexsort((np.arange(len(X)), d2)) if i not in claimed]
+        best = int(free[0])
+        ties += len(free) > 1 and d2[free[1]] == d2[best]
+        rows.append(best)
+        dists.append(np.sqrt(d2[best]))
+        if unique:
+            claimed.add(best)
+    return np.array(rows), float(np.mean(dists)), ties
+
+
+def _lattice_5x5():
+    g = np.arange(5.0)
+    return np.array([(a, b) for a in g for b in g])
+
+
+@pytest.mark.parametrize(
+    "make_X, r, theta, unique, min_ties",
+    [
+        pytest.param(lambda: np.random.default_rng(40).standard_normal((300, 1)),
+                     20, 1.0, True, 0, id="continuous-p1"),
+        pytest.param(lambda: np.random.default_rng(41).standard_normal((500, 3)),
+                     20, 1.0, True, 0, id="continuous-p3"),
+        pytest.param(lambda: np.random.default_rng(42).standard_t(5, (1000, 10)),
+                     40, 1.0, True, 0, id="continuous-p10"),
+        pytest.param(lambda: np.tile(np.random.default_rng(43).standard_normal((10, 3)),
+                                     (8, 1)),
+                     20, 0.0, True, 1, id="tiled-duplicates"),
+        pytest.param(_lattice_5x5, 12, 0.0, True, 1, id="lattice-exact-ties"),
+        pytest.param(lambda: np.random.default_rng(44).standard_normal((30, 1)),
+                     25, 1.0, False, 0, id="not-unique"),
+    ],
+)
+def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, unique, min_ties):
+    X = make_X()
+    sel = lowcon(X, r, theta=theta, rng=np.random.default_rng(r), unique=unique,
+                 keep_design=True)
+    rows, mean_dist, ties = greedy_claim_oracle(X, sel.design.points, unique)
+    assert np.array_equal(sel.indices, rows)
+    assert sel.diagnostics.mean_nn_distance == mean_dist
+    assert ties >= min_ties
