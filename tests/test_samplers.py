@@ -360,6 +360,10 @@ def _lattice_5x5():
                                      (8, 1)),
                      20, 0.0, True, 1, id="tiled-duplicates"),
         pytest.param(_lattice_5x5, 12, 0.0, True, 1, id="lattice-exact-ties"),
+        # rows listed in reverse: at an exact tie the lower index now lies on
+        # the other side, so the rule is by index, not by position
+        pytest.param(lambda: _lattice_5x5()[::-1], 12, 0.0, True, 1,
+                     id="equidistant-lower-index"),
         pytest.param(lambda: np.random.default_rng(44).standard_normal((30, 1)),
                      25, 1.0, False, 0, id="not-unique"),
     ],
