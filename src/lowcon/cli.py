@@ -125,6 +125,10 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_olhd(args) -> int:
+    if args.p < 1:
+        raise ConfigError(f"olhd needs --p >= 1, got {args.p}")
+    if args.r < 2:
+        raise ConfigError(f"olhd needs --r >= 2, got {args.r}")
     rng = np.random.default_rng(args.seed)
     design = generate_olhd(args.r, args.p, rng)
     print(f"kappa={design.kappa!r} max_abs_corr={design.max_abs_corr!r}")

@@ -124,47 +124,82 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     return _make_design(_random_lhd_points(r, p, rng), Box.unit_cube(p))
 
 
+def _row_sqdist(L: np.ndarray) -> np.ndarray:
+    """D2[a, b] = ||L[b] - L[a]||^2, summed column by column from the direct
+    differences (not from L @ L.T, whose norms would cancel)."""
+    r, p = L.shape
+    D2 = np.zeros((r, r))
+    for k in range(p):
+        diff = L[None, :, k] - L[:, None, k]
+        D2 += diff * diff
+    return D2
+
+
+def _swap_scores(L: np.ndarray, j: int, G: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """rss[a, b]: the off-diagonal sum of squares of Gram row j after swapping
+    L[a, j] and L[b, j], for every pair at once; the diagonal is the current
+    value. ``G`` is L.T @ L and ``D2`` is ``_row_sqdist(L)``."""
+    g = G[j].copy()
+    g[j] = 0.0
+    v = L @ g
+    d = L[None, :, j] - L[:, None, j]
+    d2 = d * d
+    return g @ g - 2.0 * d * (v[None, :] - v[:, None]) + d2 * (D2 - d2)
+
+
 def _descend_correlations(
     L: np.ndarray,
     kappa_target: float,
     max_swaps: int,
 ) -> tuple[np.ndarray, float, int]:
     """Greedy within-column swap descent on the sum of squared off-diagonal
-    Gram entries. Stops as soon as kappa(L.T L) reaches the target, or when a
-    full sweep over columns accepts no swap. Returns (L, kappa, swaps)."""
-    r, p = L.shape
+    Gram entries. Stops as soon as kappa(L.T L) reaches the target, after
+    ``max_swaps`` accepted swaps, or when a full sweep over columns accepts no
+    swap. Returns (L, kappa, swaps).
+
+    Each column step j scores all r^2 swaps in closed form. With g = G[j],
+    g[j] = 0, v = L @ g, d_ab = L[b, j] - L[a, j] and D2_ab = ||L_b - L_a||^2,
+    swapping rows a and b of column j turns G[j, k] into g_k - d_ab (L[b, k] -
+    L[a, k]) for k != j, so the new off-diagonal sum of squares is
+
+        rss_ab = g.g - 2 d_ab (v_b - v_a) + d_ab^2 (D2_ab - d_ab^2).
+
+    A step costs O(rp + r^2) time and O(r^2) memory. D2 is built once per
+    call in O(r^2 p); an accepted swap changes only its rows and columns a
+    and b, an O(r) update."""
+    p = L.shape[1]
     G = L.T @ L
     kap = _gram_kappa(G)
-    if kap <= kappa_target:
-        return L, kap, 0
-    # diffs[a, b, k] = L[b, k] - L[a, k]; column slices stay in sync with L
-    diffs = L[None, :, :] - L[:, None, :]
     swaps = 0
-    while swaps < max_swaps:
+    if kap <= kappa_target or max_swaps <= 0:
+        return L, kap, swaps
+    D2 = _row_sqdist(L)
+    improved = True
+    while improved:
         improved = False
         for j in range(p):
-            dj = diffs[:, :, j]
-            # Swapping rows (a, b) in column j changes Gram row j to
-            # G[j, k] - dj[a, b] * diffs[a, b, k] for k != j.
-            newrow = G[j, :][None, None, :] - dj[:, :, None] * diffs
-            newrow[:, :, j] = 0.0
-            rss = np.einsum("abk,abk->ab", newrow, newrow)
-            cur = float(G[j, :] @ G[j, :] - G[j, j] ** 2)
+            rss = _swap_scores(L, j, G, D2)
             a, b = np.unravel_index(np.argmin(rss), rss.shape)
-            if rss[a, b] < cur - 1e-15:
+            # rss[a, a] is g.g exactly, so a no-op "swap" can never pass this
+            # test and keep a sweep at a local optimum from ending.
+            if rss[a, b] < rss[a, a] - 1e-15:
+                x = L[:, j]
+                delta = (x[b] - x) ** 2 - (x[a] - x) ** 2
+                delta[[a, b]] = 0.0
+                D2[a] += delta
+                D2[b] -= delta
+                D2[:, a] = D2[a]
+                D2[:, b] = D2[b]
                 L[a, j], L[b, j] = L[b, j], L[a, j]
                 Gj = L.T @ L[:, j]
                 G[j, :] = Gj
                 G[:, j] = Gj
-                diffs[:, :, j] = L[None, :, j] - L[:, None, j]
                 improved = True
                 swaps += 1
                 kap = _gram_kappa(G)
-                if kap <= kappa_target:
+                if kap <= kappa_target or swaps == max_swaps:
                     return L, kap, swaps
-        if not improved:
-            break
-    return L, _gram_kappa(G), swaps
+    return L, kap, swaps
 
 
 def generate_olhd(

@@ -147,6 +147,15 @@ def test_infeasible_design_exit_code(capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("r, p, flag", [("5", "0", "--p"), ("5", "-1", "--p"),
+                                        ("1", "1", "--r"), ("0", "3", "--r")])
+def test_olhd_out_of_range_exit_code(r, p, flag, capsys):
+    assert main(["olhd", "--r", r, "--p", p]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and flag in err[0]
+
+
 def _write_csv(path, header, columns):
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")

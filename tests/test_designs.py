@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lowcon import (
     lhd_levels,
     rescale_design,
 )
+from lowcon.designs import _descend_correlations, _row_sqdist, _swap_scores
 
 
 class TestLevels:
@@ -92,6 +95,66 @@ class TestOlhd:
         d = generate_olhd(3, 2, np.random.default_rng(11))
         assert np.isfinite(d.kappa)
         assert d.kappa > 1.13
+
+
+def _offdiag_rss(L, j):
+    """Off-diagonal sum of squares of Gram row j, recomputed from scratch."""
+    row = L.T @ L[:, j]
+    row[j] = 0.0
+    return float(row @ row)
+
+
+def _offdiag_objective(L):
+    G = L.T @ L
+    return float((G * G).sum() - (np.diag(G) ** 2).sum())
+
+
+class TestSwapDescent:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_swap_scores_match_recomputed_gram(self, p):
+        r = 9
+        L = generate_lhd(r, p, np.random.default_rng(30 + p)).points
+        G, D2 = L.T @ L, _row_sqdist(L)
+        for j in range(p):
+            oracle = np.empty((r, r))
+            for a in range(r):
+                for b in range(r):
+                    M = L.copy()
+                    M[a, j], M[b, j] = M[b, j], M[a, j]
+                    oracle[a, b] = _offdiag_rss(M, j)
+            np.testing.assert_allclose(_swap_scores(L, j, G, D2), oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("r, p", [(12, 2), (15, 3), (20, 5)])
+    def test_descent_ends_at_local_optimum(self, r, p):
+        L = generate_lhd(r, p, np.random.default_rng(40 + r)).points
+        limit = 200 * r * p  # generate_olhd's default
+        L, _, swaps = _descend_correlations(L, 0.0, limit)
+        assert 0 < swaps < limit  # stopped because no swap was accepted
+        obj = _offdiag_objective(L)
+        for j in range(p):
+            for a in range(r):
+                for b in range(a + 1, r):
+                    M = L.copy()
+                    M[a, j], M[b, j] = M[b, j], M[a, j]
+                    assert _offdiag_objective(M) >= obj * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_max_swaps_binds_within_a_sweep(self, k):
+        L0 = generate_lhd(40, 10, np.random.default_rng(50)).points
+        L, kappa, swaps = _descend_correlations(L0.copy(), 0.0, k)
+        assert swaps == k
+        assert 0 < np.count_nonzero(L != L0) <= 2 * k
+        assert kappa == pytest.approx(np.linalg.cond(L.T @ L), rel=1e-9)
+
+    def test_memory_stays_bounded_at_large_r(self):
+        tracemalloc.start()
+        try:
+            generate_olhd(1000, 20, np.random.default_rng(51),
+                          max_restarts=1, max_swaps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestRescale:
