@@ -6,6 +6,11 @@ the theory bound checkers. Responses live behind :class:`HiddenResponses`,
 which counts every revealed entry: estimators see exactly the r selected
 responses per replicate, mirroring the measurement-constrained setting.
 
+The grid, the toy study and the empirical-MSE protocol share one cell
+runner, ``_run_cells``, which selects, reveals, fits and scores. A
+rank-deficient fit is redrawn with a derived retry seed, at most five times;
+a cell that still fails gets NaN mse and is listed in ``failed_cells``.
+
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
 are byte-identical across runs and invariant to replicate execution order.
@@ -212,6 +217,16 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
+def _cell_key(config: ExperimentConfig) -> tuple[int, int]:
+    """The (distribution, misspecification) part of a synthetic seed key."""
+    return _DIST_CODE[config.dist], _MIS_CODE[config.misspec]
+
+
+def _sampler_rng(seed, key, r, replicate, attempt, method) -> np.random.Generator:
+    """The sampler stream of one (cell, r, replicate, attempt, method)."""
+    return derived_rng(seed, _P_SAMPLER, *key, r, replicate, attempt, _METHOD_CODE[method])
+
+
 def _draw_selection(method, X, r, rng, config: ExperimentConfig):
     if method == "UNIF":
         return unif(X, r, rng)
@@ -230,9 +245,7 @@ def _draw_selection(method, X, r, rng, config: ExperimentConfig):
 
 def _simulate_data(config: ExperimentConfig, r: int, replicate: int, attempt: int):
     """Fresh predictors, calibrated shape term, and hidden responses."""
-    dist_c = _DIST_CODE[config.dist]
-    mis_c = _MIS_CODE[config.misspec]
-    rng = derived_rng(config.seed, _P_DATA, dist_c, mis_c, r, replicate, attempt)
+    rng = derived_rng(config.seed, _P_DATA, *_cell_key(config), r, replicate, attempt)
     if config.mode == "toy":
         x, y = datagen.toy_example(config.n, rng, noise_sd=float(np.sqrt(config.sigma2)))
         return x[:, None], np.array([1.0]), y
@@ -243,86 +256,85 @@ def _simulate_data(config: ExperimentConfig, r: int, replicate: int, attempt: in
     return X, beta0, y
 
 
+def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
+               row_fields: dict, order) -> SimulationResult:
+    """Select, reveal, fit and score every (method, r) cell.
+
+    ``draw(r, i, attempt)`` returns ``(X, y, targets, fit_design)``: the
+    predictors the samplers see, the responses to hide, the coefficient
+    vectors each fit is scored against by name (one row per name, the same
+    names on every draw), and the map from selected rows of X to the fitted
+    design. Attempt 0 of a replicate is shared by every method. ``label``
+    prefixes the ``response_reads``/``failed_cells`` keys, ``key`` is the
+    cell's part of the sampler seed key and ``row_fields`` fills dist, n, p.
+    """
+    rows: list[ResultRow] = []
+    reads: dict = {}
+    failed: list = []
+    for r in config.r_list:
+        # per method and replicate: (squared errors, kappa, ms, reads), or None
+        done = {m: [None] * config.replicates for m in config.methods}
+        for i in order:
+            base = draw(r, i, 0)
+            for m in config.methods:
+                for attempt in range(_MAX_ATTEMPTS):
+                    X, y, targets, fit_design = draw(r, i, attempt) if attempt else base
+                    hidden = HiddenResponses(y)
+                    rng = _sampler_rng(config.seed, key, r, i, attempt, m)
+                    t0 = time.perf_counter()
+                    try:
+                        sel = _draw_selection(m, X, r, rng, config)
+                        y_sub = hidden.reveal(sel.indices)
+                        fit = fit_sls(fit_design(X[sel.indices]), y_sub,
+                                      weights=sel.weights, method=m)
+                    except RankDeficient:
+                        continue
+                    ms = (time.perf_counter() - t0) * 1e3
+                    sq = {t: float(np.sum((fit.beta - b) ** 2)) for t, b in targets.items()}
+                    done[m][i] = (sq, sel.diagnostics.kappa_sub, ms, hidden.reads)
+                    break
+        for m in config.methods:
+            ok = [rec for rec in done[m] if rec is not None]
+            cell_failed = len(ok) < config.replicates
+            if cell_failed:
+                failed.append((*label, m, r))
+            for t in base[2]:
+                mse = np.nan if cell_failed else float(np.mean([rec[0][t] for rec in ok]))
+                with np.errstate(divide="ignore"):
+                    log_mse = float(np.log(mse)) if np.isfinite(mse) else np.nan
+                rows.append(ResultRow(
+                    method=m, misspec=t, r=r, theta=config.theta,
+                    replicate_count=len(ok), mse=mse, log_mse=log_mse,
+                    median_kappa=float(np.median([rec[1] for rec in ok])) if ok else np.nan,
+                    mean_runtime_ms=float(np.mean([rec[2] for rec in ok])) if ok else np.nan,
+                    **row_fields,
+                ))
+            reads[(*label, m, r)] = [rec[3] if rec else 0 for rec in done[m]]
+    rows.sort(key=lambda row: (row.method, row.dist, row.misspec, row.r))
+    return SimulationResult(rows=rows, response_reads=reads, failed_cells=failed)
+
+
 def run_simulation(config: ExperimentConfig, _replicate_order=None) -> SimulationResult:
     """Run every (method, r) cell of the configured grid.
 
     Per replicate, predictors are regenerated (with fresh shape calibration),
     each method selects r rows, only their responses are revealed, and the
     squared coefficient error against the true coefficients accumulates.
-    A replicate whose fit is rank deficient is redrawn with a derived retry
-    seed, at most five times; a cell that exhausts retries is marked failed
-    (NaN mse) and listed in ``failed_cells``.
     """
     if config.mode not in ("simulate", "toy"):
         raise ConfigError(f"run_simulation expects simulate/toy mode, got {config.mode}")
-    dist_c = _DIST_CODE[config.dist]
-    mis_c = _MIS_CODE[config.misspec]
-    order = list(_replicate_order) if _replicate_order is not None else list(
-        range(config.replicates)
-    )
+    order = list(range(config.replicates) if _replicate_order is None else _replicate_order)
     if sorted(order) != list(range(config.replicates)):
         raise ValueError("_replicate_order must be a permutation of the replicates")
 
-    rows: list[ResultRow] = []
-    reads: dict = {}
-    failed: list = []
-    for r in config.r_list:
-        sq = {m: np.full(config.replicates, np.nan) for m in config.methods}
-        kap = {m: np.full(config.replicates, np.nan) for m in config.methods}
-        ms = {m: np.full(config.replicates, np.nan) for m in config.methods}
-        nread = {m: np.zeros(config.replicates, dtype=int) for m in config.methods}
-        ok = {m: np.zeros(config.replicates, dtype=bool) for m in config.methods}
-        for i in order:
-            base = _simulate_data(config, r, i, attempt=0)
-            for m in config.methods:
-                X, beta0, y = base
-                for attempt in range(_MAX_ATTEMPTS):
-                    if attempt > 0:
-                        X, beta0, y = _simulate_data(config, r, i, attempt)
-                    hidden = HiddenResponses(y)
-                    rng = derived_rng(
-                        config.seed, _P_SAMPLER, dist_c, mis_c, r, i, attempt,
-                        _METHOD_CODE[m],
-                    )
-                    t0 = time.perf_counter()
-                    try:
-                        sel = _draw_selection(m, X, r, rng, config)
-                        y_sub = hidden.reveal(sel.indices)
-                        fit = fit_sls(X[sel.indices], y_sub, weights=sel.weights,
-                                      method=m)
-                    except RankDeficient:
-                        continue
-                    ms[m][i] = (time.perf_counter() - t0) * 1e3
-                    sq[m][i] = float(np.sum((fit.beta - beta0) ** 2))
-                    kap[m][i] = sel.diagnostics.kappa_sub
-                    nread[m][i] = hidden.reads
-                    ok[m][i] = True
-                    break
-        for m in config.methods:
-            n_ok = int(ok[m].sum())
-            cell_failed = n_ok < config.replicates
-            if cell_failed:
-                failed.append((config.dist, config.misspec, m, r))
-            mse = float(np.mean(sq[m][ok[m]])) if n_ok and not cell_failed else np.nan
-            with np.errstate(divide="ignore"):
-                log_mse = float(np.log(mse)) if np.isfinite(mse) or mse == 0.0 else np.nan
-            rows.append(ResultRow(
-                method=m,
-                dist=config.dist,
-                misspec=config.misspec,
-                n=config.n,
-                p=config.p if config.mode != "toy" else 1,
-                r=r,
-                theta=config.theta,
-                replicate_count=n_ok,
-                mse=mse,
-                log_mse=log_mse,
-                median_kappa=float(np.median(kap[m][ok[m]])) if n_ok else np.nan,
-                mean_runtime_ms=float(np.mean(ms[m][ok[m]])) if n_ok else np.nan,
-            ))
-            reads[(config.dist, config.misspec, m, r)] = nread[m].tolist()
-    rows.sort(key=lambda row: (row.method, row.dist, row.misspec, row.r))
-    return SimulationResult(rows=rows, response_reads=reads, failed_cells=failed)
+    def draw(r, i, attempt):
+        X, beta0, y = _simulate_data(config, r, i, attempt)
+        return X, y, {config.misspec: beta0}, lambda M: M
+
+    row_fields = dict(dist=config.dist, n=config.n,
+                      p=config.p if config.mode != "toy" else 1)
+    return _run_cells(config, (config.dist, config.misspec), _cell_key(config),
+                      draw, row_fields, order)
 
 
 def toy_config(
@@ -359,6 +371,9 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     accumulates. The intercept column is appended after subsampling, so the
     selection itself sees only the informative predictors.
 
+    Every r must exceed the dataset's p and be at most its n; with IBOSS it
+    must be at least 2p, and with LOWCON below n.
+
     Rows are tagged with ``misspec`` in {"EMSE_OLS", "EMSE_M"} and ``dist``
     set to the dataset name.
     """
@@ -367,78 +382,25 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     X = np.asarray(dataset.X_raw, dtype=np.float64)
     y_full = np.asarray(dataset.y, dtype=np.float64)
     n, p = X.shape
-    if max(config.r_list) > n:
-        raise ConfigError("every r must be at most the dataset size")
+    for r in config.r_list:
+        for need, holds in (("r > p", r > p), ("r <= n", r <= n),
+                            ("r >= 2p for IBOSS", r >= 2 * p or "IBOSS" not in config.methods),
+                            ("r < n for LOWCON", r < n or "LOWCON" not in config.methods)):
+            if not holds:
+                raise ConfigError(f"emse needs {need}, got r={r} on "
+                                  f"{dataset.name} with n={n}, p={p}")
 
     def with_intercept(M):
-        if not dataset.has_intercept:
-            return M
-        return np.column_stack([np.ones(M.shape[0]), M])
+        return np.column_stack([np.ones(M.shape[0]), M]) if dataset.has_intercept else M
 
     surrogates = {
         "EMSE_OLS": least_squares(with_intercept(X), y_full),
         "EMSE_M": fit_huber_m(with_intercept(X), y_full).beta,
     }
-
-    rows: list[ResultRow] = []
-    reads: dict = {}
-    failed: list = []
-    for r in config.r_list:
-        for m in config.methods:
-            sq = {k: np.full(config.replicates, np.nan) for k in surrogates}
-            kap = np.full(config.replicates, np.nan)
-            ms = np.full(config.replicates, np.nan)
-            nread = np.zeros(config.replicates, dtype=int)
-            ok = np.zeros(config.replicates, dtype=bool)
-            for i in range(config.replicates):
-                for attempt in range(_MAX_ATTEMPTS):
-                    hidden = HiddenResponses(y_full)
-                    rng = derived_rng(
-                        config.seed, _P_SAMPLER, _DIST_CODE["REAL"], 0, r, i,
-                        attempt, _METHOD_CODE[m],
-                    )
-                    t0 = time.perf_counter()
-                    try:
-                        sel = _draw_selection(m, X, r, rng, config)
-                        y_sub = hidden.reveal(sel.indices)
-                        fit = fit_sls(
-                            with_intercept(X[sel.indices]), y_sub,
-                            weights=sel.weights, method=m,
-                        )
-                    except RankDeficient:
-                        continue
-                    ms[i] = (time.perf_counter() - t0) * 1e3
-                    for key, target in surrogates.items():
-                        sq[key][i] = float(np.sum((fit.beta - target) ** 2))
-                    kap[i] = sel.diagnostics.kappa_sub
-                    nread[i] = hidden.reads
-                    ok[i] = True
-                    break
-            n_ok = int(ok.sum())
-            cell_failed = n_ok < config.replicates
-            if cell_failed:
-                failed.append((dataset.name, m, r))
-            for key in surrogates:
-                mse = float(np.mean(sq[key][ok])) if n_ok and not cell_failed else np.nan
-                with np.errstate(divide="ignore"):
-                    log_mse = float(np.log(mse)) if np.isfinite(mse) or mse == 0.0 else np.nan
-                rows.append(ResultRow(
-                    method=m,
-                    dist=dataset.name,
-                    misspec=key,
-                    n=n,
-                    p=p,
-                    r=r,
-                    theta=config.theta,
-                    replicate_count=n_ok,
-                    mse=mse,
-                    log_mse=log_mse,
-                    median_kappa=float(np.median(kap[ok])) if n_ok else np.nan,
-                    mean_runtime_ms=float(np.mean(ms[ok])) if n_ok else np.nan,
-                ))
-            reads[(dataset.name, m, r)] = nread.tolist()
-    rows.sort(key=lambda row: (row.method, row.dist, row.misspec, row.r))
-    return SimulationResult(rows=rows, response_reads=reads, failed_cells=failed)
+    data = (X, y_full, surrogates, with_intercept)
+    return _run_cells(config, (dataset.name,), (_DIST_CODE["REAL"], 0),
+                      lambda r, i, attempt: data, dict(dist=dataset.name, n=n, p=p),
+                      range(config.replicates))
 
 
 @dataclass(frozen=True)
@@ -468,10 +430,7 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     entries: list[DiagnoseEntry] = []
     for m in config.methods:
-        rng = derived_rng(
-            config.seed, _P_SAMPLER, _DIST_CODE[config.dist],
-            _MIS_CODE[config.misspec], r, 0, 0, _METHOD_CODE[m],
-        )
+        rng = _sampler_rng(config.seed, _cell_key(config), r, 0, 0, m)
         if m == "LOWCON":
             sel = lowcon(X, r, theta=config.theta, rng=rng, keep_design=True)
         else:

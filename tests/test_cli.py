@@ -195,3 +195,29 @@ def test_other_package_error_exit_code(tmp_path, capsys):
     assert main(_emse_args(tmp_path, data, ["UNIF"])) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:")
+
+
+@pytest.mark.parametrize("n_pred, r, method, need", [
+    (2, 60, "LOWCON", "r < n"),
+    (30, 25, "LOWCON", "r > p"),
+    (30, 40, "IBOSS", "r >= 2p"),
+], ids=["lowcon-r-equals-n", "lowcon-r-below-p", "iboss-r-below-2p"])
+def test_emse_r_out_of_range_for_dataset_exit_code(tmp_path, capsys, n_pred, r,
+                                                   method, need):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((60, n_pred))
+    y = X.sum(axis=1) + 0.1 * rng.standard_normal(60)
+    names = [f"x{j}" for j in range(n_pred)]
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y"] + names, [y] + list(X.T))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "realdata", "r_list": [r], "replicates": 1, "methods": [method],
+    }))
+    code = main(["emse", "--config", str(cfg), "--data", str(data),
+                 "--response", "y", "--predictors", ",".join(names)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:")
+    assert need in err[0] and f"r={r}" in err[0] and "n=60" in err[0]

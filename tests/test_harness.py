@@ -111,6 +111,12 @@ class TestRunSimulation:
         res = run_simulation(cfg)
         for (_, _, _, r), counts in res.response_reads.items():
             assert counts == [r] * 4
+        emse_cfg = ExperimentConfig(mode="realdata", n=201, p=3, r_list=(16, 24),
+                                    replicates=4, seed=11, methods=ALL_METHODS)
+        res = run_emse(planted_dataset(n=200), emse_cfg)
+        assert len(res.response_reads) == len(ALL_METHODS) * 2
+        for (name, _, r), counts in res.response_reads.items():
+            assert name == "planted" and counts == [r] * 4
 
     def test_row_sorting(self):
         res = run_simulation(small_config(r_list=(16, 24)))
@@ -180,6 +186,29 @@ class TestRunEmse:
         res = run_emse(data, cfg)
         tags = {row.misspec for row in res.rows}
         assert tags == {"EMSE_OLS", "EMSE_M"}
+
+    def test_failed_cell_after_retries(self):
+        # a 0/1 predictor with 2 ones in 3000 rows: UNIF rarely draws one, so
+        # some replicate's fit with an intercept is rank deficient six times
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(3000)
+        b = (np.arange(3000) < 2).astype(float)
+        y = 1.0 + a + b + 0.1 * rng.standard_normal(3000)
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
+                       column_names=("a", "b"))
+        cfg = ExperimentConfig(mode="realdata", n=3001, p=2, r_list=(20,),
+                               replicates=3, seed=0, methods=("UNIF", "BLEV"))
+        res = run_emse(data, cfg)
+        assert res.failed_cells == [("rare", "UNIF", 20)]
+        for tag in ("EMSE_OLS", "EMSE_M"):
+            unif = res.row("UNIF", 20, tag)
+            assert unif.replicate_count < 3
+            assert np.isnan(unif.mse) and np.isnan(unif.log_mse)
+            blev = res.row("BLEV", 20, tag)
+            assert blev.replicate_count == 3
+            assert np.isfinite(blev.mse) and np.isfinite(blev.log_mse)
+        assert res.response_reads[("rare", "BLEV", 20)] == [20] * 3
+        assert 0 in res.response_reads[("rare", "UNIF", 20)]
 
     def test_requires_response(self):
         data = planted_dataset(n=50)
