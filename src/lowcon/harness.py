@@ -117,11 +117,13 @@ class ExperimentConfig:
         object.__setattr__(self, "r_list", rl)
         if not rl:
             raise ConfigError("r_list must be nonempty")
-        for r in rl:
+        # in realdata mode the dataset, not the config, fixes n and p, and
+        # run_emse checks r against them
+        realdata = self.mode == "realdata"
+        for r in rl if not realdata else ():
             if r <= self.p:
                 raise ConfigError(f"every r must exceed p, got r={r}, p={self.p}")
-            # in realdata mode the dataset, not the config, fixes n
-            if self.mode != "realdata" and r >= self.n:
+            if r >= self.n:
                 raise ConfigError(f"every r must satisfy p < r < n, got r={r}")
         if not 0.0 <= self.theta < 50.0:
             raise ConfigError("theta must lie in [0, 50)")
@@ -138,7 +140,7 @@ class ExperimentConfig:
             raise ConfigError("methods must be nonempty")
         if not 0.0 < self.slev_alpha <= 1.0:
             raise ConfigError("slev_alpha must lie in (0, 1]")
-        if "IBOSS" in methods:
+        if "IBOSS" in methods and not realdata:
             low = [r for r in rl if r < 2 * self.p]
             if low:
                 raise ConfigError(

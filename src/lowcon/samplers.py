@@ -101,8 +101,7 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
     """
     if not 0.0 <= theta < 50.0:
         raise ValueError("theta must lie in [0, 50) percent")
-    lo = np.quantile(X_scaled, theta / 100.0, axis=0)
-    hi = np.quantile(X_scaled, 1.0 - theta / 100.0, axis=0)
+    lo, hi = np.quantile(X_scaled, [theta / 100.0, 1.0 - theta / 100.0], axis=0)
     flat = np.nonzero(lo >= hi)[0]
     if flat.size:
         raise DegenerateBox(
@@ -110,6 +109,72 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
             f"theta={theta}: their {theta} and {100.0 - theta} percentiles coincide"
         )
     return Box(lower=lo, upper=hi)
+
+
+# Bytes of expanded-distance scores the claim step holds per block of design
+# points; bounds its memory independently of r.
+_CLAIM_BLOCK_BYTES = 1 << 20
+
+
+def _claim_nearest(
+    X_scaled: np.ndarray, points: np.ndarray, unique: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Claim each design point's nearest (unclaimed) row, in design order.
+
+    Returns the claimed rows and their distances. The result is the one a
+    scan of the direct-difference distances ``((X_scaled - q)**2).sum(1)``
+    per point gives, first ``argmin``, with claimed rows excluded when
+    ``unique``: the same rows, ties to the lowest row, and the same
+    distances bit for bit.
+
+    Screen: for a block of design points, one GEMM gives the expanded
+    squared distances ``s = |x|^2 - 2 x.q + |q|^2`` of every row. Per point,
+    only the rows with ``s <= min(s) + tol`` are candidates, and they are
+    ranked by the direct-difference expression.
+
+    Why the true nearest row survives: with unit roundoff u = eps/2 and
+    gamma_k = k u / (1 - k u), the direct form and the expanded form both
+    differ from the exact squared distance by at most
+    E = gamma_{p+3} (|x| + |q|)^2, whatever order BLAS sums in. If row a
+    has the least direct distance and b is any row, then
+    s_a <= d_a + E <= d_b + 3E <= s_b + 4E, so s_a <= min(s) + 4E. Taking
+    |x| and |q| at their maxima, tol = 4 (p+3) eps (max|x| + max|q|)^2 is
+    twice that 4E, and the spare factor absorbs the rounding of the norms
+    and of min(s) + tol. The same argument keeps every row tied with a at
+    the least direct distance, so the first-argmin tie rule also holds.
+
+    Memory: at most ``_CLAIM_BLOCK_BYTES`` of scores (at least one point per
+    block) plus the n row norms.
+    """
+    n, p = X_scaled.shape
+    r = points.shape[0]
+    xx = np.einsum("ij,ij->i", X_scaled, X_scaled)
+    qq = np.einsum("ij,ij->i", points, points)
+    tol = 4 * (p + 3) * np.finfo(np.float64).eps * (
+        np.sqrt(xx.max()) + np.sqrt(qq.max())
+    ) ** 2
+    block = max(1, _CLAIM_BLOCK_BYTES // (8 * n))
+    indices = np.empty(r, dtype=np.intp)
+    dists = np.empty(r)
+    for start in range(0, r, block):
+        stop = min(start + block, r)
+        s = points[start:stop] @ X_scaled.T
+        s *= -2.0
+        s += xx
+        s += qq[start:stop, None]
+        if unique:
+            s[:, indices[:start]] = np.inf
+        for i in range(start, stop):
+            row = s[i - start]
+            cand = np.flatnonzero(row <= row.min() + tol)
+            d2 = ((X_scaled[cand] - points[i]) ** 2).sum(axis=1)
+            k = int(np.argmin(d2))  # first minimum: ties go to the lowest row
+            j = cand[k]
+            indices[i] = j
+            dists[i] = np.sqrt(d2[k])
+            if unique:
+                s[i - start + 1:, j] = np.inf
+    return indices, dists
 
 
 def _kappa_sub(X: np.ndarray, idx: np.ndarray) -> float:
@@ -140,6 +205,16 @@ def lowcon(
     guaranteeing r distinct rows; ``unique=False`` allows repeat claims.
     Selection is invariant to per-column positive affine transforms of the
     raw data, since scaling normalizes them away.
+
+    The claim screens every row by its expanded squared distance
+    ``|x|^2 - 2 x.q + |q|^2``, from one GEMM per block of design points, and
+    ranks only the rows within ``tol = 4 (p+3) eps (max|x| + max|q|)^2`` of a
+    point's least score by direct differences ``((x - q)**2).sum()``. Both
+    forms err by at most gamma_{p+3} (|x| + |q|)^2, so the nearest row always
+    passes the screen, and the rows, ties (to the lowest row) and distances
+    are those of a direct-difference scan over all rows (the argument is in
+    ``_claim_nearest``). The claim holds at most 1 MiB of scores plus the n
+    row norms, whatever r is.
     """
     X = _check_X(X)
     n, p = X.shape
@@ -155,17 +230,7 @@ def lowcon(
         r, p, rng, kappa_target=kappa_target, max_restarts=max_restarts
     )
     design = rescale_design(canonical, box)
-    claimed = np.zeros(n, dtype=bool)
-    indices = np.empty(r, dtype=np.intp)
-    dists = np.empty(r)
-    for i, point in enumerate(design.points):
-        d2 = ((X_scaled - point) ** 2).sum(axis=1)
-        d2[claimed] = np.inf
-        j = int(np.argmin(d2))  # first minimum: ties go to the lowest row
-        indices[i] = j
-        dists[i] = np.sqrt(d2[j])
-        if unique:
-            claimed[j] = True
+    indices, dists = _claim_nearest(X_scaled, design.points, unique)
     diag = SelectionDiagnostics(
         kappa_sub=_kappa_sub(X, indices),
         mean_nn_distance=float(dists.mean()),
@@ -280,9 +345,10 @@ def iboss(X, r: int) -> SubsampleSelection:
         chosen.extend(int(i) for i in high)
     m = r - 2 * p * k
     if m > 0:
-        asc = [int(i) for i in np.argsort(X[:, 0], kind="stable") if not taken[i]]
-        desc_all = np.argsort(-X[:, 0], kind="stable")
-        desc = [int(i) for i in desc_all if not taken[i]]
+        asc = np.argsort(X[:, 0], kind="stable")
+        asc = asc[~taken[asc]]
+        desc = np.argsort(-X[:, 0], kind="stable")
+        desc = desc[~taken[desc]]
         ai = di = 0
         take_small = True
         while m > 0:
@@ -295,7 +361,7 @@ def iboss(X, r: int) -> SubsampleSelection:
                     di += 1
                 i = desc[di]
             taken[i] = True
-            chosen.append(i)
+            chosen.append(int(i))
             take_small = not take_small
             m -= 1
     indices = np.asarray(chosen, dtype=np.intp)

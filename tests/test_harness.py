@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(r_list=(300,))  # r == n
 
+    def test_realdata_r_not_checked_against_config_p(self):
+        # the dataset fixes p in realdata mode; the default p=10 must not
+        # reject r=8 (run_emse checks r against the dataset instead)
+        cfg = ExperimentConfig(mode="realdata", r_list=(8,), methods=("UNIF",))
+        assert cfg.r_list == (8,)
+
     def test_theta_and_methods_checked(self):
         with pytest.raises(ConfigError):
             small_config(theta=50.0)
@@ -209,6 +215,21 @@ class TestRunEmse:
             assert np.isfinite(blev.mse) and np.isfinite(blev.log_mse)
         assert res.response_reads[("rare", "BLEV", 20)] == [20] * 3
         assert 0 in res.response_reads[("rare", "UNIF", 20)]
+
+    def test_small_r_on_two_predictor_csv(self, tmp_path):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((200, 2))
+        y = 1.0 + X @ [2.0, -1.0] + 0.1 * rng.standard_normal(200)
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,b\n" + "".join(f"{v},{a},{b}\n" for v, (a, b) in zip(y, X)))
+        data = ingest_csv(path, "y", ["a", "b"])
+        methods = ("UNIF", "IBOSS", "LOWCON")
+        cfg = ExperimentConfig(mode="realdata", r_list=(8,), replicates=2,
+                               methods=methods)
+        res = run_emse(data, cfg)
+        for m in methods:
+            assert res.row(m, 8, "EMSE_OLS").replicate_count == 2
+            assert res.response_reads[("d", m, 8)] == [8, 8]
 
     def test_requires_response(self):
         data = planted_dataset(n=50)

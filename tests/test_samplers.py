@@ -16,7 +16,7 @@ from lowcon import (
     theta_box,
     unif,
 )
-from lowcon.samplers import _leverage_probs
+from lowcon.samplers import _CLAIM_BLOCK_BYTES, _claim_nearest, _leverage_probs
 
 
 class TestScaling:
@@ -191,6 +191,27 @@ class TestLevunw:
         assert not np.allclose(fa.beta, fb.beta)
 
 
+def iboss_oracle(X, r):
+    """IBOSS from its definition: per column, the k = r // 2p smallest then
+    the k largest rows not yet taken, ranked by (value, row) and (-value,
+    row); then the rest of r from column 0, alternating smallest/largest."""
+    n, p = X.shape
+    k = r // (2 * p)
+    chosen = []
+
+    def first_free(key):
+        return min((i for i in range(n) if i not in chosen), key=key)
+
+    for j in range(p):
+        for key in (lambda i: (X[i, j], i), lambda i: (-X[i, j], i)):
+            for _ in range(k):
+                chosen.append(first_free(key))
+    keys = (lambda i: (X[i, 0], i), lambda i: (-X[i, 0], i))
+    while len(chosen) < r:
+        chosen.append(first_free(keys[(len(chosen) - 2 * p * k) % 2]))
+    return chosen
+
+
 class TestIboss:
     def test_one_dim_extremes(self):
         X = np.array([5.0, 1.0, 9.0, 3.0, 7.0])[:, None]
@@ -235,6 +256,12 @@ class TestIboss:
         X[4:] = 1.0
         sel = iboss(X, 2)
         assert sel.indices.tolist() == [0, 4]
+
+    def test_remainder_with_tied_column_matches_oracle(self):
+        # integer columns tie heavily, and r = 2p*k + 5 leaves a remainder
+        X = np.random.default_rng(24).integers(0, 4, (300, 3)).astype(float)
+        for r in (11, 23, 41):
+            assert iboss(X, r).indices.tolist() == iboss_oracle(X, r)
 
     def test_deterministic_api(self):
         X = np.random.default_rng(23).standard_normal((50, 2))
@@ -376,3 +403,30 @@ def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, unique, min_ties):
     assert np.array_equal(sel.indices, rows)
     assert sel.diagnostics.mean_nn_distance == mean_dist
     assert ties >= min_ties
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(400, id="one-block"),
+    # a block then holds the scores of 7 points, so 30 points span 5 blocks
+    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, id="block-boundaries"),
+])
+@pytest.mark.parametrize("unique", [True, False], ids=["unique", "not-unique"])
+def test_claim_near_ties_match_greedy_oracle(n, unique):
+    # rows 1e-9 from each design point, and exact duplicates of them: squared
+    # distances differ by ~1e-18 while the expanded form errs by ~1e-15, so
+    # only the exact re-rank can order these rows. Each point comes twice, 15
+    # points apart, so with unique claims the repeat must skip the row its
+    # first copy claimed in an earlier block.
+    rng = np.random.default_rng(50)
+    r, p = 30, 3
+    points = np.tile(rng.uniform(-0.9, 0.9, (r // 2, p)), (2, 1))
+    near = np.repeat(points, 4, axis=0) + 1e-9 * rng.standard_normal((4 * r, p))
+    near = np.vstack([near, near[::3], near[::5]])
+    far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
+    X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
+    scaled, _ = scale_to_cube(X)
+    indices, dists = _claim_nearest(scaled, points, unique)
+    rows, mean_dist, ties = greedy_claim_oracle(X, points, unique)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+    assert ties >= 1
