@@ -66,6 +66,11 @@ _MIS_CODE["-"] = 0
 _METHOD_CODE = {m: i + 1 for i, m in enumerate(METHODS)}
 
 
+def _default_r_list(p: int) -> tuple[int, ...]:
+    """The r grid used when a config sets none: 2pk for k = 1..5."""
+    return tuple(2 * p * k for k in range(1, 6))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell family of the study: distribution, shape, sizes, and knobs."""
@@ -75,7 +80,7 @@ class ExperimentConfig:
     misspec: str = "H1"
     n: int = 10_000
     p: int = 10
-    r_list: tuple[int, ...] | None = None
+    r_list: tuple[int, ...] | None = None  # None: 2pk, k = 1..5 (realdata: dataset p)
     theta: float = 1.0
     sigma2: float = 1.0
     replicates: int = 100
@@ -109,17 +114,16 @@ class ExperimentConfig:
                     f"misspec {self.misspec} references coordinate {min_dim}, "
                     f"so p must be at least {min_dim}, got p={self.p}"
                 )
-        if self.r_list is None:
-            object.__setattr__(
-                self, "r_list", tuple(2 * self.p * k for k in range(1, 6))
-            )
-        rl = tuple(int(r) for r in self.r_list)
-        object.__setattr__(self, "r_list", rl)
-        if not rl:
-            raise ConfigError("r_list must be nonempty")
-        # in realdata mode the dataset, not the config, fixes n and p, and
-        # run_emse checks r against them
+        # in realdata mode the dataset, not the config, fixes n and p:
+        # run_emse fills the default r grid from the dataset's p and checks
+        # every r against its n and p
         realdata = self.mode == "realdata"
+        if self.r_list is None and not realdata:
+            object.__setattr__(self, "r_list", _default_r_list(self.p))
+        rl = None if self.r_list is None else tuple(int(r) for r in self.r_list)
+        object.__setattr__(self, "r_list", rl)
+        if rl is not None and not rl:
+            raise ConfigError("r_list must be nonempty")
         for r in rl if not realdata else ():
             if r <= self.p:
                 raise ConfigError(f"every r must exceed p, got r={r}, p={self.p}")
@@ -200,6 +204,9 @@ class HiddenResponses:
 
 @dataclass
 class SimulationResult:
+    """Result rows; ``response_reads`` maps each (label, method, r) to the
+    responses every replicate revealed over all its attempts."""
+
     rows: list[ResultRow]
     response_reads: dict = field(default_factory=dict)
     failed_cells: list = field(default_factory=list)
@@ -274,8 +281,10 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
     reads: dict = {}
     failed: list = []
     for r in config.r_list:
-        # per method and replicate: (squared errors, kappa, ms, reads), or None
+        # per method and replicate: (squared errors, kappa, ms), or None
         done = {m: [None] * config.replicates for m in config.methods}
+        # per method and replicate: responses revealed over every attempt
+        spent = {m: [0] * config.replicates for m in config.methods}
         for i in order:
             base = draw(r, i, 0)
             for m in config.methods:
@@ -291,9 +300,11 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                                       weights=sel.weights, method=m)
                     except RankDeficient:
                         continue
+                    finally:
+                        spent[m][i] += hidden.reads
                     ms = (time.perf_counter() - t0) * 1e3
                     sq = {t: float(np.sum((fit.beta - b) ** 2)) for t, b in targets.items()}
-                    done[m][i] = (sq, sel.diagnostics.kappa_sub, ms, hidden.reads)
+                    done[m][i] = (sq, sel.diagnostics.kappa_sub, ms)
                     break
         for m in config.methods:
             ok = [rec for rec in done[m] if rec is not None]
@@ -311,7 +322,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                     mean_runtime_ms=float(np.mean([rec[2] for rec in ok])) if ok else np.nan,
                     **row_fields,
                 ))
-            reads[(*label, m, r)] = [rec[3] if rec else 0 for rec in done[m]]
+            reads[(*label, m, r)] = spent[m]
     rows.sort(key=lambda row: (row.method, row.dist, row.misspec, row.r))
     return SimulationResult(rows=rows, response_reads=reads, failed_cells=failed)
 
@@ -373,8 +384,9 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     accumulates. The intercept column is appended after subsampling, so the
     selection itself sees only the informative predictors.
 
-    Every r must exceed the dataset's p and be at most its n; with IBOSS it
-    must be at least 2p, and with LOWCON below n.
+    Without ``r_list`` the grid is 2pk (k = 1..5) for the dataset's p. Every
+    r must exceed the dataset's p and be at most its n; with IBOSS it must
+    be at least 2p, and with LOWCON below n.
 
     Rows are tagged with ``misspec`` in {"EMSE_OLS", "EMSE_M"} and ``dist``
     set to the dataset name.
@@ -384,6 +396,8 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     X = np.asarray(dataset.X_raw, dtype=np.float64)
     y_full = np.asarray(dataset.y, dtype=np.float64)
     n, p = X.shape
+    if config.r_list is None:
+        config = dataclasses.replace(config, r_list=_default_r_list(p))
     for r in config.r_list:
         for need, holds in (("r > p", r > p), ("r <= n", r <= n),
                             ("r >= 2p for IBOSS", r >= 2 * p or "IBOSS" not in config.methods),
@@ -428,7 +442,7 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     slack of the condition-number and trace-inverse bounds (bound minus the
     directly computed value, in the scaled space where the design lives).
     """
-    r = config.r_list[0]
+    r = (config.r_list or _default_r_list(config.p))[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     entries: list[DiagnoseEntry] = []
     for m in config.methods:

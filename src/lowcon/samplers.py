@@ -315,13 +315,28 @@ def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     )
 
 
-def iboss(X, r: int) -> SubsampleSelection:
-    """Deterministic extreme-point selection.
+def _lowest(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """The k entries of ``rows`` with the smallest ``keys``, ordered by
+    (key, row). ``rows`` ascends, so at the k-th key value the lowest rows
+    win. One partition finds that value; only the k picks are sorted."""
+    v = np.partition(keys, k - 1)[k - 1]
+    pick = keys < v
+    pick[np.flatnonzero(keys == v)[: k - np.count_nonzero(pick)]] = True
+    pos = np.flatnonzero(pick)
+    return rows[pos[np.argsort(keys[pos], kind="stable")]]
 
-    For each column in order, takes the floor(r / 2p) smallest and largest
-    remaining rows by that column's value; any remainder is filled from
-    column 1 extremes, alternating smallest/largest. Value ties resolve to
-    the smallest row index. No randomness is involved.
+
+def iboss(X, r: int) -> SubsampleSelection:
+    """Deterministic extreme-point selection (Wang, Yang & Stufken, 2019).
+
+    For each column in order, takes the k = floor(r / 2p) smallest and then
+    the k largest rows not yet taken, by that column's value; the remainder
+    m = r - 2pk is filled from column 0, alternating smallest/largest of
+    what is still free. Value ties resolve to the smallest row index. No
+    randomness is involved.
+
+    Cost O(np): per column and side one pass over the free rows, a
+    partition for the k-th value and a sort of the k picks only.
     """
     X = _check_X(X)
     n, p = X.shape
@@ -331,24 +346,20 @@ def iboss(X, r: int) -> SubsampleSelection:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     k = r // (2 * p)
     taken = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
+    chosen: list = []
     for j in range(p):
-        asc = np.argsort(X[:, j], kind="stable")
-        avail = asc[~taken[asc]]
-        low = avail[:k]
-        taken[low] = True
-        rest = avail[k:]
-        desc = rest[np.argsort(-X[rest, j], kind="stable")]
-        high = desc[:k]
-        taken[high] = True
-        chosen.extend(int(i) for i in low)
-        chosen.extend(int(i) for i in high)
+        for sign in (1.0, -1.0):
+            rows = np.flatnonzero(~taken)
+            pick = _lowest(sign * X[rows, j], rows, k)
+            taken[pick] = True
+            chosen.append(pick)
     m = r - 2 * p * k
     if m > 0:
-        asc = np.argsort(X[:, 0], kind="stable")
-        asc = asc[~taken[asc]]
-        desc = np.argsort(-X[:, 0], kind="stable")
-        desc = desc[~taken[desc]]
+        # each side skips at most the other side's picks, so m candidates
+        # per side always suffice
+        rows = np.flatnonzero(~taken)
+        col = X[rows, 0]
+        asc, desc = _lowest(col, rows, m), _lowest(-col, rows, m)
         ai = di = 0
         take_small = True
         while m > 0:
@@ -361,10 +372,10 @@ def iboss(X, r: int) -> SubsampleSelection:
                     di += 1
                 i = desc[di]
             taken[i] = True
-            chosen.append(int(i))
+            chosen.append([i])
             take_small = not take_small
             m -= 1
-    indices = np.asarray(chosen, dtype=np.intp)
+    indices = np.concatenate(chosen).astype(np.intp, copy=False)
     return SubsampleSelection(
         indices=indices,
         method="IBOSS",

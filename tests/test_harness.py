@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lowcon.harness as harness
 from lowcon import (
     ColumnMissing,
     ConfigError,
@@ -214,7 +215,36 @@ class TestRunEmse:
             assert blev.replicate_count == 3
             assert np.isfinite(blev.mse) and np.isfinite(blev.log_mse)
         assert res.response_reads[("rare", "BLEV", 20)] == [20] * 3
-        assert 0 in res.response_reads[("rare", "UNIF", 20)]
+        # every attempt reveals 20: replicates 0 and 1 fail all six attempts,
+        # replicate 2 succeeds on its second
+        assert res.response_reads[("rare", "UNIF", 20)] == [6 * 20, 6 * 20, 2 * 20]
+
+    def test_response_reads_count_every_attempt(self, tmp_path, monkeypatch):
+        # a 0/1 predictor with 30 ones in 3000 rows: a UNIF draw of 40 rows
+        # often misses them all, and its rank-deficient fit is retried
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal(3000)
+        b = (rng.permutation(3000) < 30).astype(float)
+        y = 1.0 + a + b + 0.1 * rng.standard_normal(3000)
+        path = tmp_path / "rare.csv"
+        path.write_text("y,a,b\n" + "".join(f"{v},{u},{w}\n" for v, u, w in zip(y, a, b)))
+        draw, calls = harness._draw_selection, []
+        monkeypatch.setattr(harness, "_draw_selection",
+                            lambda *args: calls.append(args) or draw(*args))
+        cfg = ExperimentConfig(mode="realdata", r_list=(40,), replicates=5,
+                               methods=("UNIF",))
+        res = run_emse(ingest_csv(path, "y", ["a", "b"]), cfg)
+        assert len(calls) > 5  # some replicate was retried
+        assert sum(res.response_reads[("rare", "UNIF", 40)]) == 40 * len(calls)
+
+    def test_default_r_grid_from_dataset_p(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((500, 25))
+        data = Dataset(name="wide", X_raw=X, y=X.sum(1) + rng.standard_normal(500),
+                       column_names=tuple(f"x{j}" for j in range(25)))
+        cfg = ExperimentConfig(mode="realdata", replicates=1, methods=("UNIF", "IBOSS"))
+        res = run_emse(data, cfg)
+        assert sorted({row.r for row in res.rows}) == [50, 100, 150, 200, 250]
 
     def test_small_r_on_two_predictor_csv(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -258,10 +258,19 @@ class TestIboss:
         assert sel.indices.tolist() == [0, 4]
 
     def test_remainder_with_tied_column_matches_oracle(self):
+        rng = np.random.default_rng(24)
         # integer columns tie heavily, and r = 2p*k + 5 leaves a remainder
-        X = np.random.default_rng(24).integers(0, 4, (300, 3)).astype(float)
-        for r in (11, 23, 41):
-            assert iboss(X, r).indices.tolist() == iboss_oracle(X, r)
+        cases = [(rng.integers(0, 4, (300, 3)).astype(float), (11, 23, 41))]
+        # 0/1 columns: on both sides the k-th value falls inside a tied block
+        cases.append(((rng.random((200, 2)) < 0.5).astype(float), (9, 30, 43, 101)))
+        # n == r with a 0/1 column 0: the remainder's smallest and largest
+        # candidates are the same rows, so each side steps past the other's
+        cases += [(rng.integers(0, 2, (n, 3)).astype(float), (n,)) for n in (17, 23)]
+        # p = 1, up to r == n
+        cases.append((rng.integers(0, 5, (100, 1)).astype(float), (2, 7, 51, 100)))
+        for X, rs in cases:
+            for r in rs:
+                assert iboss(X, r).indices.tolist() == iboss_oracle(X, r), (X.shape, r)
 
     def test_deterministic_api(self):
         X = np.random.default_rng(23).standard_normal((50, 2))
