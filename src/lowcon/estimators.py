@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AssumptionViolated
-from .linalg import _as_matrix, _require_full_rank, least_squares
+from .linalg import (
+    _as_matrix,
+    _require_full_rank,
+    _svd_full_rank,
+    _weighted_solve,
+    least_squares,
+)
 
 _MAD_TO_SD = 0.6744897501960817  # Phi^{-1}(0.75): MAD of a normal / its sd
 
@@ -54,32 +60,15 @@ class HuberFit:
     iterations: int
 
 
-def _svd_full_rank(X: np.ndarray, what: str):
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    _require_full_rank(s, X.shape[0], X.shape[1], what)
-    return u, s, vt
-
-
 def fit_sls(X_sub, y_sub, weights=None, method: str = "") -> FitResult:
     """Least-squares fit on a subsample, with condition-number diagnostics.
 
+    Solved, and its arguments checked, as by :func:`least_squares`.
     ``kappa_sub`` and ``trace_inv`` (the trace of the inverse information
     matrix) come from the singular spectrum of the weighted design, never
     from an explicit inverse.
     """
-    X_sub = _as_matrix(X_sub)
-    y = np.asarray(y_sub, dtype=np.float64).reshape(-1)
-    r, p = X_sub.shape
-    if r < p:
-        raise ValueError(f"need r >= p, got r={r}, p={p}")
-    Xw, yw = X_sub, y
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        sw = np.sqrt(w)
-        Xw = X_sub * sw[:, None]
-        yw = y * sw
-    u, s, vt = _svd_full_rank(Xw, "fit_sls")
-    beta = vt.T @ ((u.T @ yw) / s)
+    beta, s = _weighted_solve(X_sub, y_sub, weights, "fit_sls")
     return FitResult(
         beta=beta,
         kappa_sub=float((s[0] / s[-1]) ** 2),

@@ -71,6 +71,17 @@ def _default_r_list(p: int) -> tuple[int, ...]:
     return tuple(2 * p * k for k in range(1, 6))
 
 
+def _check_r_list(r_list, n: int, p: int, methods) -> None:
+    """Every r must exceed p and be at most n; with IBOSS it must be at
+    least 2p, and with LOWCON below n."""
+    for r in r_list:
+        for need, holds in (("r > p", r > p), ("r <= n", r <= n),
+                            ("r >= 2p for IBOSS", r >= 2 * p or "IBOSS" not in methods),
+                            ("r < n for LOWCON", r < n or "LOWCON" not in methods)):
+            if not holds:
+                raise ConfigError(f"r_list needs {need}, got r={r} with n={n}, p={p}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell family of the study: distribution, shape, sizes, and knobs."""
@@ -124,11 +135,6 @@ class ExperimentConfig:
         object.__setattr__(self, "r_list", rl)
         if rl is not None and not rl:
             raise ConfigError("r_list must be nonempty")
-        for r in rl if not realdata else ():
-            if r <= self.p:
-                raise ConfigError(f"every r must exceed p, got r={r}, p={self.p}")
-            if r >= self.n:
-                raise ConfigError(f"every r must satisfy p < r < n, got r={r}")
         if not 0.0 <= self.theta < 50.0:
             raise ConfigError("theta must lie in [0, 50)")
         if self.sigma2 < 0:
@@ -144,12 +150,8 @@ class ExperimentConfig:
             raise ConfigError("methods must be nonempty")
         if not 0.0 < self.slev_alpha <= 1.0:
             raise ConfigError("slev_alpha must lie in (0, 1]")
-        if "IBOSS" in methods and not realdata:
-            low = [r for r in rl if r < 2 * self.p]
-            if low:
-                raise ConfigError(
-                    f"IBOSS needs r >= 2p; offending r values: {low}"
-                )
+        if not realdata:
+            _check_r_list(rl, self.n, self.p, methods)
 
 
 @dataclass(frozen=True)
@@ -398,13 +400,7 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     n, p = X.shape
     if config.r_list is None:
         config = dataclasses.replace(config, r_list=_default_r_list(p))
-    for r in config.r_list:
-        for need, holds in (("r > p", r > p), ("r <= n", r <= n),
-                            ("r >= 2p for IBOSS", r >= 2 * p or "IBOSS" not in config.methods),
-                            ("r < n for LOWCON", r < n or "LOWCON" not in config.methods)):
-            if not holds:
-                raise ConfigError(f"emse needs {need}, got r={r} on "
-                                  f"{dataset.name} with n={n}, p={p}")
+    _check_r_list(config.r_list, n, p, config.methods)
 
     def with_intercept(M):
         return np.column_stack([np.ones(M.shape[0]), M]) if dataset.has_intercept else M
@@ -441,8 +437,11 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     design-to-sample gap, whether the perturbation assumption holds, and the
     slack of the condition-number and trace-inverse bounds (bound minus the
     directly computed value, in the scaled space where the design lives).
+    The draw is synthetic, so only simulate and diagnose configs are taken.
     """
-    r = (config.r_list or _default_r_list(config.p))[0]
+    if config.mode not in ("simulate", "diagnose"):
+        raise ConfigError(f"diagnose expects simulate/diagnose mode, got {config.mode}")
+    r = config.r_list[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     entries: list[DiagnoseEntry] = []
     for m in config.methods:

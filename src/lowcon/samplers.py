@@ -20,7 +20,7 @@ from .designs import (
     rescale_design,
 )
 from .exceptions import ConstantColumn, DegenerateBox
-from .linalg import condition_number, leverage_scores
+from .linalg import _as_matrix, condition_number, leverage_scores
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,9 @@ class SubsampleSelection:
         return len(self.indices)
 
 
-def _check_X(X, name="X") -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-d")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} must be finite")
-    return X
-
-
 def scale_to_cube(X) -> tuple[np.ndarray, ScalingSpec]:
     """Affinely map each column of X onto [-1, 1] (min to -1, max to +1)."""
-    X = _check_X(X)
+    X = _as_matrix(X)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     flat = np.nonzero(hi <= lo)[0]
@@ -177,11 +168,15 @@ def _claim_nearest(
     return indices, dists
 
 
-def _kappa_sub(X: np.ndarray, idx: np.ndarray) -> float:
-    sub = X[idx]
-    if sub.shape[0] < sub.shape[1]:
-        return np.inf
-    return condition_number(sub)
+def _selection(X: np.ndarray, indices: np.ndarray, method: str,
+               weights: np.ndarray | None = None) -> SubsampleSelection:
+    """A baseline's selection, with the condition number of its rows."""
+    return SubsampleSelection(
+        indices=indices,
+        method=method,
+        weights=weights,
+        diagnostics=SelectionDiagnostics(kappa_sub=condition_number(X[indices])),
+    )
 
 
 def lowcon(
@@ -216,7 +211,7 @@ def lowcon(
     ``_claim_nearest``). The claim holds at most 1 MiB of scores plus the n
     row norms, whatever r is.
     """
-    X = _check_X(X)
+    X = _as_matrix(X)
     n, p = X.shape
     if rng is None:
         rng = np.random.default_rng()
@@ -232,7 +227,7 @@ def lowcon(
     design = rescale_design(canonical, box)
     indices, dists = _claim_nearest(X_scaled, design.points, unique)
     diag = SelectionDiagnostics(
-        kappa_sub=_kappa_sub(X, indices),
+        kappa_sub=condition_number(X[indices]),
         mean_nn_distance=float(dists.mean()),
     )
     return SubsampleSelection(
@@ -246,16 +241,12 @@ def lowcon(
 
 def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Uniform subsampling without replacement."""
-    X = _check_X(X)
+    X = _as_matrix(X)
     n = X.shape[0]
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     indices = np.asarray(rng.choice(n, size=r, replace=False), dtype=np.intp)
-    return SubsampleSelection(
-        indices=indices,
-        method="UNIF",
-        diagnostics=SelectionDiagnostics(kappa_sub=_kappa_sub(X, indices)),
-    )
+    return _selection(X, indices, "UNIF")
 
 
 def _leverage_probs(X: np.ndarray, alpha: float) -> np.ndarray:
@@ -279,40 +270,26 @@ def _leverage_draw(
 def blev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Basic leverage subsampling: i.i.d. draws with probability h_ii / p,
     with replacement, and 1 / (r pi) weights for weighted least squares."""
-    X = _check_X(X)
+    X = _as_matrix(X)
     indices, pi = _leverage_draw(X, r, rng, alpha=1.0)
-    return SubsampleSelection(
-        indices=indices,
-        method="BLEV",
-        weights=1.0 / (r * pi[indices]),
-        diagnostics=SelectionDiagnostics(kappa_sub=_kappa_sub(X, indices)),
-    )
+    return _selection(X, indices, "BLEV", weights=1.0 / (r * pi[indices]))
 
 
 def slev(X, r: int, rng: np.random.Generator, alpha: float = 0.9) -> SubsampleSelection:
     """Shrinkage leverage subsampling: pi = alpha h/p + (1 - alpha)/n."""
-    X = _check_X(X)
+    X = _as_matrix(X)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     indices, pi = _leverage_draw(X, r, rng, alpha=alpha)
-    return SubsampleSelection(
-        indices=indices,
-        method="SLEV",
-        weights=1.0 / (r * pi[indices]),
-        diagnostics=SelectionDiagnostics(kappa_sub=_kappa_sub(X, indices)),
-    )
+    return _selection(X, indices, "SLEV", weights=1.0 / (r * pi[indices]))
 
 
 def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Unweighted leverage subsampling: the same draw as blev (identical
     indices under the same rng state) but fit by plain least squares."""
-    X = _check_X(X)
+    X = _as_matrix(X)
     indices, _ = _leverage_draw(X, r, rng, alpha=1.0)
-    return SubsampleSelection(
-        indices=indices,
-        method="LEVUNW",
-        diagnostics=SelectionDiagnostics(kappa_sub=_kappa_sub(X, indices)),
-    )
+    return _selection(X, indices, "LEVUNW")
 
 
 def _lowest(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -338,7 +315,7 @@ def iboss(X, r: int) -> SubsampleSelection:
     Cost O(np): per column and side one pass over the free rows, a
     partition for the k-th value and a sort of the k picks only.
     """
-    X = _check_X(X)
+    X = _as_matrix(X)
     n, p = X.shape
     if r < 2 * p:
         raise ValueError(f"need r >= 2p, got r={r}, p={p}")
@@ -376,8 +353,4 @@ def iboss(X, r: int) -> SubsampleSelection:
             take_small = not take_small
             m -= 1
     indices = np.concatenate(chosen).astype(np.intp, copy=False)
-    return SubsampleSelection(
-        indices=indices,
-        method="IBOSS",
-        diagnostics=SelectionDiagnostics(kappa_sub=_kappa_sub(X, indices)),
-    )
+    return _selection(X, indices, "IBOSS")

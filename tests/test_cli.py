@@ -121,6 +121,20 @@ def test_diagnose_prints_assumption(tmp_path, capsys):
     assert "worst_case" in out and "assumption" in out
 
 
+def test_diagnose_rejects_realdata_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "realdata", "n": 400, "p": 3, "methods": ["UNIF", "IBOSS"],
+    }))
+    code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0",
+                 "--sigma2", "1.0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "realdata" in err[0] and captured.out == ""
+
+
 def test_olhd_prints_design(capsys):
     code = main(["olhd", "--r", "9", "--p", "2", "--seed", "3"])
     assert code == 0

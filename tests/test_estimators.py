@@ -61,6 +61,16 @@ class TestFitSls:
         with pytest.raises(RankDeficient):
             fit_sls(X, np.ones(4))
 
+    @pytest.mark.parametrize("weights", [
+        [1.0, 1.0, 1.0, 1.0, 1.0, -1.0],
+        [1.0, 1.0, np.nan, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+    ], ids=["negative", "nan", "wrong-length"])
+    def test_rejects_bad_weights(self, weights):
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="weights"):
+            fit_sls(X, np.ones(6), weights=weights)
+
 
 class TestMseDecompose:
     def test_zero_shift_means_zero_bias(self):

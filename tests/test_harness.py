@@ -50,6 +50,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(r_list=(300,))  # r == n
 
+    def test_r_equal_to_n_without_lowcon(self):
+        cfg = small_config(r_list=(300,), replicates=1, methods=("UNIF",))
+        res = run_simulation(cfg)
+        assert res.row("UNIF", 300).replicate_count == 1
+        assert res.response_reads[("D1", "H1", "UNIF", 300)] == [300]
+
+    @pytest.mark.parametrize("r, methods, need", [
+        (4, ("UNIF",), "r > p"),
+        (301, ("UNIF",), "r <= n"),
+        (7, ("IBOSS",), "r >= 2p"),
+        (300, ("LOWCON",), "r < n"),
+    ], ids=["r-equals-p", "r-above-n", "iboss-r-below-2p", "lowcon-r-equals-n"])
+    def test_r_error_names_r_n_and_p(self, r, methods, need):
+        with pytest.raises(ConfigError) as err:
+            small_config(r_list=(r,), methods=methods)
+        message = str(err.value)
+        assert need in message
+        assert f"r={r}" in message and "n=300" in message and "p=4" in message
+
     def test_realdata_r_not_checked_against_config_p(self):
         # the dataset fixes p in realdata mode; the default p=10 must not
         # reject r=8 (run_emse checks r against the dataset instead)

@@ -113,8 +113,10 @@ class TestConditionNumber:
             assert condition_number(c * X) == pytest.approx(base, rel=1e-9)
 
     def test_singular_gives_infinity(self):
-        X = np.column_stack([np.arange(4.0), 3.0 * np.arange(4.0)])
-        assert condition_number(X) == np.inf
+        collinear = np.column_stack([np.arange(4.0), 3.0 * np.arange(4.0)])
+        fewer_rows_than_columns = np.array([[1.0, 2.0]])
+        for X in (collinear, fewer_rows_than_columns):
+            assert condition_number(X) == np.inf
 
 
 class TestLeverageScores:
