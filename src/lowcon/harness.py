@@ -72,8 +72,8 @@ def _default_r_list(p: int) -> tuple[int, ...]:
 
 
 def _check_r_list(r_list, n: int, p: int, methods) -> None:
-    """Every r must exceed p and be at most n; with IBOSS it must be at
-    least 2p, and with LOWCON below n."""
+    """The r bounds of every mode, against the n and p of the data the
+    samplers will see."""
     for r in r_list:
         for need, holds in (("r > p", r > p), ("r <= n", r <= n),
                             ("r >= 2p for IBOSS", r >= 2 * p or "IBOSS" not in methods),
