@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Subcommands: simulate (the synthetic grid), emse (real-data empirical MSE),
-toy (the one-predictor study), diagnose (theory checkers on one seeded
-draw), and olhd (print a low-correlation design).
+toy (the one-predictor study), diagnose (theory checkers on one seeded draw
+of a simulate config), and olhd (print a low-correlation design).
 
 Exit codes, each failure reported as one line on stderr:
 
 * 0 success
 * 2 configuration error: ``ConfigError``, or ``InfeasibleDesign`` when the
   requested r and p cannot give a nonsingular design
-* 3 data error: ``DataError``, a missing data file, or ``DegenerateBox``
-  when a predictor column leaves a zero-width theta box
-* 4 numerical failure: a cell that failed after retries, or any other
-  ``LowconError``
+* 3 data error: ``DataError``, a missing data file, or, in diagnose,
+  ``DegenerateBox`` when a predictor column leaves a zero-width theta box
+* 4 numerical failure: a failed cell, listed with its last error's class
+  name after the CSV is written, or any other ``LowconError``
 
 The environment variable LOWCON_OUTPUT_DIR, when set, redirects every output
 file into that directory (basenames preserved); everything else comes from

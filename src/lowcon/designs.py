@@ -230,14 +230,8 @@ def generate_olhd(
         raise InfeasibleDesign(
             f"r={r} runs cannot give a nonsingular {p}x{p} information matrix"
         )
-    if r < 2:
-        raise ValueError("r must be at least 2")
     if max_swaps is None:
         max_swaps = 200 * r * p
-    box = Box.unit_cube(p)
-    if p == 1:
-        return _make_design(_random_lhd_points(r, 1, rng), box)
-
     best: np.ndarray | None = None
     best_kappa = np.inf
     for _ in range(max(1, max_restarts)):
@@ -248,7 +242,7 @@ def generate_olhd(
         if best_kappa <= kappa_target:
             break
     assert best is not None
-    return _make_design(best, box)
+    return _make_design(best, Box.unit_cube(p))
 
 
 def rescale_design(design: DesignMatrix, box: Box) -> DesignMatrix:

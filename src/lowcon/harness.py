@@ -9,7 +9,8 @@ responses per replicate, mirroring the measurement-constrained setting.
 The grid, the toy study and the empirical-MSE protocol share one cell
 runner, ``_run_cells``, which selects, reveals, fits and scores. A
 rank-deficient fit is redrawn with a derived retry seed, at most five times;
-a cell that still fails gets NaN mse and is listed in ``failed_cells``.
+any other package error recurs on the same data, so it is not retried. A
+cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
@@ -23,6 +24,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +42,14 @@ from .exceptions import (
     ColumnMissing,
     ConfigError,
     EmptyAfterFiltering,
+    LowconError,
     RankDeficient,
 )
 from .linalg import least_squares, singular_values
 from .samplers import blev, iboss, levunw, lowcon, slev, unif
 
 METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
-MODES = ("simulate", "realdata", "toy", "diagnose")
+MODES = ("simulate", "realdata", "toy")
 TOY_METHODS = ("UNIF", "BLEV", "LOWCON")
 
 # default noise variance for the toy study; the simulation grid default is 1.0
@@ -82,6 +85,23 @@ def _check_r_list(r_list, n: int, p: int, methods) -> None:
                 raise ConfigError(f"r_list needs {need}, got r={r} with n={n}, p={p}")
 
 
+# the type of every ExperimentConfig field, since a JSON config may give any
+_FIELD_TYPES = (
+    (("mode", "dist", "misspec"), str, "a string"),
+    (("n", "p", "replicates", "seed"), Integral, "an integer"),
+    (("theta", "sigma2", "slev_alpha"), Real, "a real number"),
+    (("r_list",), (list, tuple, type(None)), "a list or null"),
+    (("methods",), (list, tuple), "a list"),
+    (("output_path",), (str, type(None)), "a string or null"),
+)
+
+
+def _check_type(name: str, value, kind, what: str) -> None:
+    """Reject a config value that is not of ``kind``; a bool is never one."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell family of the study: distribution, shape, sizes, and knobs."""
@@ -101,6 +121,13 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for names, kind, what in _FIELD_TYPES:
+            for name in names:
+                _check_type(name, getattr(self, name), kind, what)
+        for r in self.r_list or ():
+            _check_type("each r in r_list", r, Integral, "an integer")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.dist not in _DIST_CODE:
@@ -109,16 +136,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"misspec must be one of {MISSPECIFICATIONS}, got {self.misspec!r}"
             )
-        if self.mode in ("simulate", "diagnose") and (
+        if self.mode == "simulate" and (
             self.dist not in DISTRIBUTIONS or self.misspec not in MISSPECIFICATIONS
         ):
             raise ConfigError(
-                f"{self.mode} mode needs dist in {DISTRIBUTIONS} and "
+                f"simulate mode needs dist in {DISTRIBUTIONS} and "
                 f"misspec in {MISSPECIFICATIONS}"
             )
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
-        if self.mode in ("simulate", "diagnose"):
+        if self.mode == "simulate":
             min_dim = datagen._MIN_DIM[self.misspec]
             if self.p < min_dim:
                 raise ConfigError(
@@ -131,13 +158,13 @@ class ExperimentConfig:
         realdata = self.mode == "realdata"
         if self.r_list is None and not realdata:
             object.__setattr__(self, "r_list", _default_r_list(self.p))
-        rl = None if self.r_list is None else tuple(int(r) for r in self.r_list)
+        rl = None if self.r_list is None else tuple(self.r_list)
         object.__setattr__(self, "r_list", rl)
         if rl is not None and not rl:
             raise ConfigError("r_list must be nonempty")
         if not 0.0 <= self.theta < 50.0:
             raise ConfigError("theta must lie in [0, 50)")
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ConfigError("sigma2 must be nonnegative")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
@@ -287,6 +314,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
         done = {m: [None] * config.replicates for m in config.methods}
         # per method and replicate: responses revealed over every attempt
         spent = {m: [0] * config.replicates for m in config.methods}
+        error = {m: None for m in config.methods}  # class of the last error
         for i in order:
             base = draw(r, i, 0)
             for m in config.methods:
@@ -300,8 +328,11 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                         y_sub = hidden.reveal(sel.indices)
                         fit = fit_sls(fit_design(X[sel.indices]), y_sub,
                                       weights=sel.weights, method=m)
-                    except RankDeficient:
-                        continue
+                    except LowconError as exc:
+                        error[m] = type(exc).__name__
+                        if isinstance(exc, RankDeficient):
+                            continue  # a fresh draw may fit; other errors recur
+                        break
                     finally:
                         spent[m][i] += hidden.reads
                     ms = (time.perf_counter() - t0) * 1e3
@@ -312,7 +343,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
             ok = [rec for rec in done[m] if rec is not None]
             cell_failed = len(ok) < config.replicates
             if cell_failed:
-                failed.append((*label, m, r))
+                failed.append((*label, m, r, error[m]))
             for t in base[2]:
                 mse = np.nan if cell_failed else float(np.mean([rec[0][t] for rec in ok]))
                 with np.errstate(divide="ignore"):
@@ -352,28 +383,21 @@ def run_simulation(config: ExperimentConfig, _replicate_order=None) -> Simulatio
                       draw, row_fields, order)
 
 
-def toy_config(
-    r_list=(10, 30, 50),
-    replicates: int = 100,
-    seed: int = 0,
-    n: int = 2000,
-    sigma2: float = TOY_SIGMA2,
-    theta: float = 1.0,
-    methods=TOY_METHODS,
-) -> ExperimentConfig:
-    """Configuration for the one-predictor toy study."""
+def toy_config(r_list=(10, 30, 50), replicates: int = 100,
+               seed: int = 0) -> ExperimentConfig:
+    """Configuration for the one-predictor toy study: n = 2000, noise
+    variance ``TOY_SIGMA2``, theta = 1 and the ``TOY_METHODS``."""
     return ExperimentConfig(
         mode="toy",
         dist="TOY",
         misspec="-",
-        n=n,
+        n=2000,
         p=1,
         r_list=tuple(r_list),
-        theta=theta,
-        sigma2=sigma2,
+        sigma2=TOY_SIGMA2,
         replicates=replicates,
         seed=seed,
-        methods=tuple(methods),
+        methods=TOY_METHODS,
     )
 
 
@@ -437,10 +461,10 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     design-to-sample gap, whether the perturbation assumption holds, and the
     slack of the condition-number and trace-inverse bounds (bound minus the
     directly computed value, in the scaled space where the design lives).
-    The draw is synthetic, so only simulate and diagnose configs are taken.
+    The draw is synthetic, so only simulate configs are taken.
     """
-    if config.mode not in ("simulate", "diagnose"):
-        raise ConfigError(f"diagnose expects simulate/diagnose mode, got {config.mode}")
+    if config.mode != "simulate":
+        raise ConfigError(f"diagnose expects simulate mode, got {config.mode}")
     r = config.r_list[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     entries: list[DiagnoseEntry] = []
@@ -569,8 +593,4 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    if "r_list" in raw and raw["r_list"] is not None:
-        raw["r_list"] = tuple(raw["r_list"])
-    if "methods" in raw:
-        raw["methods"] = tuple(raw["methods"])
     return ExperimentConfig(**raw)

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import (
-    DEFAULT_KAPPA_TARGET,
-    Box,
-    DesignMatrix,
-    generate_olhd,
-    rescale_design,
-)
+from .designs import Box, DesignMatrix, generate_olhd, rescale_design
 from .exceptions import ConstantColumn, DegenerateBox
 from .linalg import _as_matrix, condition_number, leverage_scores
 
@@ -108,15 +102,14 @@ _CLAIM_BLOCK_BYTES = 1 << 20
 
 
 def _claim_nearest(
-    X_scaled: np.ndarray, points: np.ndarray, unique: bool
+    X_scaled: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Claim each design point's nearest (unclaimed) row, in design order.
+    """Claim each design point's nearest unclaimed row, in design order.
 
     Returns the claimed rows and their distances. The result is the one a
     scan of the direct-difference distances ``((X_scaled - q)**2).sum(1)``
-    per point gives, first ``argmin``, with claimed rows excluded when
-    ``unique``: the same rows, ties to the lowest row, and the same
-    distances bit for bit.
+    per point gives, first ``argmin``, with claimed rows excluded: the same
+    rows, ties to the lowest row, and the same distances bit for bit.
 
     Screen: for a block of design points, one GEMM gives the expanded
     squared distances ``s = |x|^2 - 2 x.q + |q|^2`` of every row. Per point,
@@ -153,8 +146,7 @@ def _claim_nearest(
         s *= -2.0
         s += xx
         s += qq[start:stop, None]
-        if unique:
-            s[:, indices[:start]] = np.inf
+        s[:, indices[:start]] = np.inf
         for i in range(start, stop):
             row = s[i - start]
             cand = np.flatnonzero(row <= row.min() + tol)
@@ -163,8 +155,7 @@ def _claim_nearest(
             j = cand[k]
             indices[i] = j
             dists[i] = np.sqrt(d2[k])
-            if unique:
-                s[i - start + 1:, j] = np.inf
+            s[i - start + 1:, j] = np.inf
     return indices, dists
 
 
@@ -184,20 +175,15 @@ def lowcon(
     r: int,
     theta: float = 1.0,
     rng: np.random.Generator | None = None,
-    kappa_target: float = DEFAULT_KAPPA_TARGET,
-    max_restarts: int = 20,
-    unique: bool = True,
     keep_design: bool = False,
 ) -> SubsampleSelection:
     """Low-condition-number pursuit: match a space-filling design to the data.
 
     Scales the sample to [-1, 1]^p, trims the design space to the per-column
     [theta, 100 - theta] percentile box, draws a low-correlation Latin
-    hypercube design of r points inside it (the first use of ``rng``), and
-    claims each design point's nearest sample point in design order.
-
-    With ``unique=True`` (default) every design point claims a distinct row,
-    guaranteeing r distinct rows; ``unique=False`` allows repeat claims.
+    hypercube design of r points inside it (the first use of ``rng``; r <= p
+    raises ``InfeasibleDesign``), and claims each design point's nearest
+    unclaimed sample point in design order, so the r rows are distinct.
     Selection is invariant to per-column positive affine transforms of the
     raw data, since scaling normalizes them away.
 
@@ -217,15 +203,10 @@ def lowcon(
         rng = np.random.default_rng()
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
-    if r < p + 1:
-        raise ValueError(f"need r >= p + 1, got r={r}, p={p}")
     X_scaled, _ = scale_to_cube(X)
     box = theta_box(X_scaled, theta)
-    canonical = generate_olhd(
-        r, p, rng, kappa_target=kappa_target, max_restarts=max_restarts
-    )
-    design = rescale_design(canonical, box)
-    indices, dists = _claim_nearest(X_scaled, design.points, unique)
+    design = rescale_design(generate_olhd(r, p, rng), box)
+    indices, dists = _claim_nearest(X_scaled, design.points)
     diag = SelectionDiagnostics(
         kappa_sub=condition_number(X[indices]),
         mean_nn_distance=float(dists.mean()),

@@ -54,6 +54,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 300.5), ("r_list", 20), ("replicates", "2"), ("seed", 1.5),
+    ("seed", -1), ("theta", None), ("r_list", [20.7]), ("dist", ["D1"]),
+    ("output_path", 5),
+], ids=["float-n", "scalar-r_list", "string-replicates", "float-seed",
+        "negative-seed", "null-theta", "float-r", "list-dist", "number-output_path"])
+def test_badly_typed_config_exit_code(sim_config, capsys, field, value):
+    raw = json.loads(sim_config.read_text())
+    raw[field] = value
+    sim_config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(sim_config)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert field in err[0] and captured.out == ""
+
+
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -194,10 +211,13 @@ def test_degenerate_theta_box_exit_code(tmp_path, capsys):
     y = a + b + 0.1 * rng.standard_normal(1000)
     data = tmp_path / "data.csv"
     _write_csv(data, ["y", "a", "b"], [y, a, b])
-    assert main(_emse_args(tmp_path, data, ["LOWCON"])) == 3
+    out = tmp_path / "res.csv"
+    args = _emse_args(tmp_path, data, ["LOWCON"]) + ["--out", str(out)]
+    assert main(args) == 4
+    assert out.read_text().startswith("method,dist,misspec,")
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("data error:") and "columns [1]" in err[0]
+    assert err[0].startswith("failed cells:") and "DegenerateBox" in err[0]
 
 
 def test_other_package_error_exit_code(tmp_path, capsys):

@@ -75,6 +75,10 @@ class TestConfig:
         cfg = ExperimentConfig(mode="realdata", r_list=(8,), methods=("UNIF",))
         assert cfg.r_list == (8,)
 
+    def test_diagnose_is_not_a_mode(self):
+        with pytest.raises(ConfigError):
+            small_config(mode="diagnose")
+
     def test_theta_and_methods_checked(self):
         with pytest.raises(ConfigError):
             small_config(theta=50.0)
@@ -225,7 +229,7 @@ class TestRunEmse:
         cfg = ExperimentConfig(mode="realdata", n=3001, p=2, r_list=(20,),
                                replicates=3, seed=0, methods=("UNIF", "BLEV"))
         res = run_emse(data, cfg)
-        assert res.failed_cells == [("rare", "UNIF", 20)]
+        assert res.failed_cells == [("rare", "UNIF", 20, "RankDeficient")]
         for tag in ("EMSE_OLS", "EMSE_M"):
             unif = res.row("UNIF", 20, tag)
             assert unif.replicate_count < 3
@@ -237,6 +241,27 @@ class TestRunEmse:
         # every attempt reveals 20: replicates 0 and 1 fail all six attempts,
         # replicate 2 succeeds on its second
         assert res.response_reads[("rare", "UNIF", 20)] == [6 * 20, 6 * 20, 2 * 20]
+
+    def test_degenerate_box_fails_only_its_cell(self):
+        # a 0/1 predictor with 5 ones in 1000 rows: its 1st and 99th
+        # percentiles coincide, so LOWCON's theta box is degenerate on every
+        # replicate, while UNIF's 300-row draws still fit
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(1000)
+        b = (np.arange(1000) < 5).astype(float)
+        y = a + b + 0.1 * rng.standard_normal(1000)
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
+                       column_names=("a", "b"))
+        cfg = ExperimentConfig(mode="realdata", r_list=(300,), replicates=2,
+                               seed=0, methods=("UNIF", "LOWCON"))
+        res = run_emse(data, cfg)
+        assert res.failed_cells == [("rare", "LOWCON", 300, "DegenerateBox")]
+        for tag in ("EMSE_OLS", "EMSE_M"):
+            assert res.row("UNIF", 300, tag).replicate_count == 2
+            assert res.row("LOWCON", 300, tag).replicate_count == 0
+            assert np.isnan(res.row("LOWCON", 300, tag).mse)
+        # the error recurs on the same data, so no replicate is retried
+        assert res.response_reads[("rare", "LOWCON", 300)] == [0, 0]
 
     def test_response_reads_count_every_attempt(self, tmp_path, monkeypatch):
         # a 0/1 predictor with 30 ones in 3000 rows: a UNIF draw of 40 rows

@@ -4,6 +4,7 @@ import pytest
 from lowcon import (
     ConstantColumn,
     DegenerateBox,
+    InfeasibleDesign,
     blev,
     fit_sls,
     generate_olhd,
@@ -314,12 +315,6 @@ class TestLowcon:
         assert len(set(sel.indices.tolist())) == 20
         assert sel.weights is None
 
-    def test_duplicate_claims_allowed_when_not_unique(self):
-        X = np.random.default_rng(29).standard_normal((30, 1))
-        sel = lowcon(X, 25, rng=np.random.default_rng(30), unique=False)
-        assert len(sel) == 25
-        assert len(set(sel.indices.tolist())) < 25
-
     def test_affine_invariance_of_selection(self):
         rng = np.random.default_rng(31)
         X = rng.standard_normal((400, 3))
@@ -357,8 +352,13 @@ class TestLowcon:
         with pytest.raises(ValueError):
             lowcon(X, 10, rng=np.random.default_rng(0))
 
+    def test_r_not_above_p_is_infeasible(self):
+        X = np.random.default_rng(36).standard_normal((50, 3))
+        with pytest.raises(InfeasibleDesign):
+            lowcon(X, 3, rng=np.random.default_rng(0))
 
-def greedy_claim_oracle(X, design_points, unique=True):
+
+def greedy_claim_oracle(X, design_points):
     """Brute-force claim step: for each design point in order, rank every
     row by (squared distance, row index) and take the first row not yet
     claimed. Returns the claimed rows and how many claims were exact ties."""
@@ -373,8 +373,7 @@ def greedy_claim_oracle(X, design_points, unique=True):
         ties += len(free) > 1 and d2[free[1]] == d2[best]
         rows.append(best)
         dists.append(np.sqrt(d2[best]))
-        if unique:
-            claimed.add(best)
+        claimed.add(best)
     return np.array(rows), float(np.mean(dists)), ties
 
 
@@ -384,48 +383,44 @@ def _lattice_5x5():
 
 
 @pytest.mark.parametrize(
-    "make_X, r, theta, unique, min_ties",
+    "make_X, r, theta, min_ties",
     [
         pytest.param(lambda: np.random.default_rng(40).standard_normal((300, 1)),
-                     20, 1.0, True, 0, id="continuous-p1"),
+                     20, 1.0, 0, id="continuous-p1"),
         pytest.param(lambda: np.random.default_rng(41).standard_normal((500, 3)),
-                     20, 1.0, True, 0, id="continuous-p3"),
+                     20, 1.0, 0, id="continuous-p3"),
         pytest.param(lambda: np.random.default_rng(42).standard_t(5, (1000, 10)),
-                     40, 1.0, True, 0, id="continuous-p10"),
+                     40, 1.0, 0, id="continuous-p10"),
         pytest.param(lambda: np.tile(np.random.default_rng(43).standard_normal((10, 3)),
                                      (8, 1)),
-                     20, 0.0, True, 1, id="tiled-duplicates"),
-        pytest.param(_lattice_5x5, 12, 0.0, True, 1, id="lattice-exact-ties"),
+                     20, 0.0, 1, id="tiled-duplicates"),
+        pytest.param(_lattice_5x5, 12, 0.0, 1, id="lattice-exact-ties"),
         # rows listed in reverse: at an exact tie the lower index now lies on
         # the other side, so the rule is by index, not by position
-        pytest.param(lambda: _lattice_5x5()[::-1], 12, 0.0, True, 1,
+        pytest.param(lambda: _lattice_5x5()[::-1], 12, 0.0, 1,
                      id="equidistant-lower-index"),
-        pytest.param(lambda: np.random.default_rng(44).standard_normal((30, 1)),
-                     25, 1.0, False, 0, id="not-unique"),
     ],
 )
-def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, unique, min_ties):
+def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, min_ties):
     X = make_X()
-    sel = lowcon(X, r, theta=theta, rng=np.random.default_rng(r), unique=unique,
-                 keep_design=True)
-    rows, mean_dist, ties = greedy_claim_oracle(X, sel.design.points, unique)
+    sel = lowcon(X, r, theta=theta, rng=np.random.default_rng(r), keep_design=True)
+    rows, mean_dist, ties = greedy_claim_oracle(X, sel.design.points)
     assert np.array_equal(sel.indices, rows)
     assert sel.diagnostics.mean_nn_distance == mean_dist
     assert ties >= min_ties
 
 
 @pytest.mark.parametrize("n", [
-    pytest.param(400, id="one-block"),
+    pytest.param(400, id="unique-one-block"),
     # a block then holds the scores of 7 points, so 30 points span 5 blocks
-    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, id="block-boundaries"),
+    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, id="unique-block-boundaries"),
 ])
-@pytest.mark.parametrize("unique", [True, False], ids=["unique", "not-unique"])
-def test_claim_near_ties_match_greedy_oracle(n, unique):
+def test_claim_near_ties_match_greedy_oracle(n):
     # rows 1e-9 from each design point, and exact duplicates of them: squared
     # distances differ by ~1e-18 while the expanded form errs by ~1e-15, so
     # only the exact re-rank can order these rows. Each point comes twice, 15
-    # points apart, so with unique claims the repeat must skip the row its
-    # first copy claimed in an earlier block.
+    # points apart, so the repeat must skip the row its first copy claimed in
+    # an earlier block.
     rng = np.random.default_rng(50)
     r, p = 30, 3
     points = np.tile(rng.uniform(-0.9, 0.9, (r // 2, p)), (2, 1))
@@ -434,8 +429,8 @@ def test_claim_near_ties_match_greedy_oracle(n, unique):
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
     scaled, _ = scale_to_cube(X)
-    indices, dists = _claim_nearest(scaled, points, unique)
-    rows, mean_dist, ties = greedy_claim_oracle(X, points, unique)
+    indices, dists = _claim_nearest(scaled, points)
+    rows, mean_dist, ties = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
     assert ties >= 1
