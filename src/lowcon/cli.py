@@ -11,8 +11,8 @@ Exit codes, each failure reported as one line on stderr:
   requested r and p cannot give a nonsingular design
 * 3 data error: ``DataError``, a missing data file, or, in diagnose,
   ``DegenerateBox`` when a predictor column leaves a zero-width theta box
-* 4 numerical failure: a failed cell, listed with its last error's class
-  name after the CSV is written, or any other ``LowconError``
+* 4 numerical failure: failed cells, listed by error class with the last
+  error's message after the CSV is written, or any other ``LowconError``
 
 The environment variable LOWCON_OUTPUT_DIR, when set, redirects every output
 file into that directory (basenames preserved); everything else comes from
@@ -72,7 +72,8 @@ def _emit(result, out: Path | None) -> int:
         write_result_csv(result.rows, out)
         print(f"wrote {out}")
     if result.failed_cells:
-        print(f"failed cells: {result.failed_cells}", file=sys.stderr)
+        print(f"failed cells: {result.failed_cells} (last error: {result._last_error})",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

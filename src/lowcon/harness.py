@@ -12,6 +12,12 @@ rank-deficient fit is redrawn with a derived retry seed, at most five times;
 any other package error recurs on the same data, so it is not retried. A
 cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
+The samplers see each X as one prepared sample, which keeps what they derive
+from X alone (scaling, theta box, leverage, IBOSS picks). Simulate and toy
+build one per (r, replicate, attempt) for all methods; emse one per run.
+The first method in ``config.methods`` that needs a kept field builds it in
+its own timed call, so per-method ``mean_runtime_ms`` depends on that order.
+
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
 are byte-identical across runs and invariant to replicate execution order.
@@ -46,7 +52,7 @@ from .exceptions import (
     RankDeficient,
 )
 from .linalg import least_squares, singular_values
-from .samplers import blev, iboss, levunw, lowcon, slev, unif
+from .samplers import _Prepared, blev, iboss, levunw, lowcon, slev, unif
 
 METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
 MODES = ("simulate", "realdata", "toy")
@@ -239,6 +245,8 @@ class SimulationResult:
     rows: list[ResultRow]
     response_reads: dict = field(default_factory=dict)
     failed_cells: list = field(default_factory=list)
+    # "Class: message" of the last failed cell, kept out of ==: it may follow replicate order
+    _last_error: str | None = field(default=None, compare=False, repr=False)
 
     def row(self, method: str, r: int, misspec: str | None = None) -> ResultRow:
         for row in self.rows:
@@ -298,38 +306,40 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                row_fields: dict, order) -> SimulationResult:
     """Select, reveal, fit and score every (method, r) cell.
 
-    ``draw(r, i, attempt)`` returns ``(X, y, targets, fit_design)``: the
-    predictors the samplers see, the responses to hide, the coefficient
-    vectors each fit is scored against by name (one row per name, the same
-    names on every draw), and the map from selected rows of X to the fitted
-    design. Attempt 0 of a replicate is shared by every method. ``label``
-    prefixes the ``response_reads``/``failed_cells`` keys, ``key`` is the
-    cell's part of the sampler seed key and ``row_fields`` fills dist, n, p.
+    ``draw(r, i, attempt)`` returns ``(sample, y, targets, fit_design)``:
+    the prepared predictors the samplers see, the responses to hide, the
+    coefficient vectors each fit is scored against by name (one row per
+    name, the same names on every draw), and the map from selected rows of X
+    to the fitted design. Attempt 0 of a replicate is shared by every method.
+    ``label`` prefixes the ``response_reads``/``failed_cells`` keys, ``key``
+    is the cell's part of the sampler seed key and ``row_fields`` fills dist,
+    n, p.
     """
     rows: list[ResultRow] = []
     reads: dict = {}
     failed: list = []
+    last_error = None
     for r in config.r_list:
         # per method and replicate: (squared errors, kappa, ms), or None
         done = {m: [None] * config.replicates for m in config.methods}
         # per method and replicate: responses revealed over every attempt
         spent = {m: [0] * config.replicates for m in config.methods}
-        error = {m: None for m in config.methods}  # class of the last error
+        error = {m: None for m in config.methods}  # the last error
         for i in order:
             base = draw(r, i, 0)
             for m in config.methods:
                 for attempt in range(_MAX_ATTEMPTS):
-                    X, y, targets, fit_design = draw(r, i, attempt) if attempt else base
+                    sample, y, targets, fit_design = draw(r, i, attempt) if attempt else base
                     hidden = HiddenResponses(y)
                     rng = _sampler_rng(config.seed, key, r, i, attempt, m)
                     t0 = time.perf_counter()
                     try:
-                        sel = _draw_selection(m, X, r, rng, config)
+                        sel = _draw_selection(m, sample, r, rng, config)
                         y_sub = hidden.reveal(sel.indices)
-                        fit = fit_sls(fit_design(X[sel.indices]), y_sub,
+                        fit = fit_sls(fit_design(sample.X[sel.indices]), y_sub,
                                       weights=sel.weights, method=m)
                     except LowconError as exc:
-                        error[m] = type(exc).__name__
+                        error[m] = exc
                         if isinstance(exc, RankDeficient):
                             continue  # a fresh draw may fit; other errors recur
                         break
@@ -343,7 +353,8 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
             ok = [rec for rec in done[m] if rec is not None]
             cell_failed = len(ok) < config.replicates
             if cell_failed:
-                failed.append((*label, m, r, error[m]))
+                failed.append((*label, m, r, type(error[m]).__name__))
+                last_error = f"{failed[-1][-1]}: {error[m]}"
             for t in base[2]:
                 mse = np.nan if cell_failed else float(np.mean([rec[0][t] for rec in ok]))
                 with np.errstate(divide="ignore"):
@@ -357,7 +368,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                 ))
             reads[(*label, m, r)] = spent[m]
     rows.sort(key=lambda row: (row.method, row.dist, row.misspec, row.r))
-    return SimulationResult(rows=rows, response_reads=reads, failed_cells=failed)
+    return SimulationResult(rows, reads, failed, last_error)
 
 
 def run_simulation(config: ExperimentConfig, _replicate_order=None) -> SimulationResult:
@@ -375,7 +386,7 @@ def run_simulation(config: ExperimentConfig, _replicate_order=None) -> Simulatio
 
     def draw(r, i, attempt):
         X, beta0, y = _simulate_data(config, r, i, attempt)
-        return X, y, {config.misspec: beta0}, lambda M: M
+        return _Prepared(X), y, {config.misspec: beta0}, lambda M: M
 
     row_fields = dict(dist=config.dist, n=config.n,
                       p=config.p if config.mode != "toy" else 1)
@@ -433,7 +444,7 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
         "EMSE_OLS": least_squares(with_intercept(X), y_full),
         "EMSE_M": fit_huber_m(with_intercept(X), y_full).beta,
     }
-    data = (X, y_full, surrogates, with_intercept)
+    data = (_Prepared(X), y_full, surrogates, with_intercept)
     return _run_cells(config, (dataset.name,), (_DIST_CODE["REAL"], 0),
                       lambda r, i, attempt: data, dict(dist=dataset.name, n=n, p=p),
                       range(config.replicates))
@@ -467,13 +478,14 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
         raise ConfigError(f"diagnose expects simulate mode, got {config.mode}")
     r = config.r_list[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
+    sample = _Prepared(X)
     entries: list[DiagnoseEntry] = []
     for m in config.methods:
         rng = _sampler_rng(config.seed, _cell_key(config), r, 0, 0, m)
         if m == "LOWCON":
-            sel = lowcon(X, r, theta=config.theta, rng=rng, keep_design=True)
+            sel = lowcon(sample, r, theta=config.theta, rng=rng, keep_design=True)
         else:
-            sel = _draw_selection(m, X, r, rng, config)
+            sel = _draw_selection(m, sample, r, rng, config)
         bound = worst_case_mse(X[sel.indices], sigma2, alpha).bound
         if m != "LOWCON":
             entries.append(DiagnoseEntry(
@@ -519,32 +531,30 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
         raise FileNotFoundError(str(path))
     predictor_columns = list(predictor_columns)
     wanted = [response_column] + predictor_columns
-    X_rows: list[list[float]] = []
-    y_vals: list[float] = []
+    rows: list[list[float]] = []
     dropped = 0
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in wanted if c not in header]
         if missing:
             raise ColumnMissing(f"columns {missing} not found in {path.name}")
-        for record in reader:
+        position = {name: j for j, name in enumerate(header)}  # last one wins
+        at = [position[c] for c in wanted]
+        for record in filter(None, reader):  # a blank line is no row
             try:
-                vals = [float(record[c]) for c in wanted]
-            except (TypeError, ValueError):
+                rows.append([float(record[j]) for j in at])
+            except (IndexError, ValueError):  # a short row or a non-number
                 dropped += 1
-                continue
-            if not all(np.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            y_vals.append(vals[0])
-            X_rows.append(vals[1:])
-    if not X_rows:
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(wanted))
+    data = data[np.isfinite(data).all(axis=1)]
+    dropped += len(rows) - data.shape[0]
+    if not data.shape[0]:
         raise EmptyAfterFiltering(f"no complete rows in {path.name}")
     return Dataset(
         name=path.stem,
-        X_raw=np.asarray(X_rows, dtype=np.float64),
-        y=np.asarray(y_vals, dtype=np.float64),
+        X_raw=np.ascontiguousarray(data[:, 1:]),
+        y=np.ascontiguousarray(data[:, 0]),
         column_names=tuple(predictor_columns),
         has_intercept=True,
         dropped_rows=dropped,

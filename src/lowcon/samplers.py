@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .designs import Box, DesignMatrix, generate_olhd, rescale_design
-from .exceptions import ConstantColumn, DegenerateBox
+from .exceptions import ConstantColumn, DegenerateBox, LowconError
 from .linalg import _as_matrix, condition_number, leverage_scores
 
 
@@ -94,6 +94,31 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
             f"theta={theta}: their {theta} and {100.0 - theta} percentiles coincide"
         )
     return Box(lower=lo, upper=hi)
+
+
+class _Prepared:
+    """A predictor matrix, checked once, that every sampler takes in its place.
+    ``keep`` builds what depends on X alone on first use and keeps it, or the
+    package error it raised: the scaled X, box per theta, leverages, IBOSS per r."""
+
+    def __init__(self, X):
+        self.X = _as_matrix(X)
+        self._kept: dict = {}
+
+    def keep(self, key, build):
+        if key not in self._kept:
+            try:
+                self._kept[key] = build()
+            except LowconError as exc:
+                self._kept[key] = exc
+        kept = self._kept[key]
+        if isinstance(kept, LowconError):
+            raise kept.with_traceback(None)
+        return kept
+
+
+def _prepare(X) -> _Prepared:
+    return X if isinstance(X, _Prepared) else _Prepared(X)
 
 
 # Bytes of expanded-distance scores the claim step holds per block of design
@@ -197,18 +222,18 @@ def lowcon(
     ``_claim_nearest``). The claim holds at most 1 MiB of scores plus the n
     row norms, whatever r is.
     """
-    X = _as_matrix(X)
-    n, p = X.shape
+    sample = _prepare(X)
+    n, p = sample.X.shape
     if rng is None:
         rng = np.random.default_rng()
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
-    X_scaled, _ = scale_to_cube(X)
-    box = theta_box(X_scaled, theta)
+    X_scaled = sample.keep("scaled", lambda: scale_to_cube(sample.X)[0])
+    box = sample.keep(("box", theta), lambda: theta_box(X_scaled, theta))
     design = rescale_design(generate_olhd(r, p, rng), box)
     indices, dists = _claim_nearest(X_scaled, design.points)
     diag = SelectionDiagnostics(
-        kappa_sub=condition_number(X[indices]),
+        kappa_sub=condition_number(sample.X[indices]),
         mean_nn_distance=float(dists.mean()),
     )
     return SubsampleSelection(
@@ -222,7 +247,7 @@ def lowcon(
 
 def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Uniform subsampling without replacement."""
-    X = _as_matrix(X)
+    X = _prepare(X).X
     n = X.shape[0]
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
@@ -230,20 +255,20 @@ def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     return _selection(X, indices, "UNIF")
 
 
-def _leverage_probs(X: np.ndarray, alpha: float) -> np.ndarray:
-    n = X.shape[0]
-    h = leverage_scores(X)
-    pi = alpha * h / h.sum() + (1.0 - alpha) / n
+def _leverage_probs(X, alpha: float) -> np.ndarray:
+    sample = _prepare(X)
+    h = sample.keep("leverage", lambda: leverage_scores(sample.X))
+    pi = alpha * h / h.sum() + (1.0 - alpha) / sample.X.shape[0]
     return pi / pi.sum()
 
 
 def _leverage_draw(
-    X: np.ndarray, r: int, rng: np.random.Generator, alpha: float
+    sample: _Prepared, r: int, rng: np.random.Generator, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = X.shape[0]
+    n = sample.X.shape[0]
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    pi = _leverage_probs(X, alpha)
+    pi = _leverage_probs(sample, alpha)
     indices = np.asarray(rng.choice(n, size=r, replace=True, p=pi), dtype=np.intp)
     return indices, pi
 
@@ -251,26 +276,26 @@ def _leverage_draw(
 def blev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Basic leverage subsampling: i.i.d. draws with probability h_ii / p,
     with replacement, and 1 / (r pi) weights for weighted least squares."""
-    X = _as_matrix(X)
-    indices, pi = _leverage_draw(X, r, rng, alpha=1.0)
-    return _selection(X, indices, "BLEV", weights=1.0 / (r * pi[indices]))
+    sample = _prepare(X)
+    indices, pi = _leverage_draw(sample, r, rng, alpha=1.0)
+    return _selection(sample.X, indices, "BLEV", weights=1.0 / (r * pi[indices]))
 
 
 def slev(X, r: int, rng: np.random.Generator, alpha: float = 0.9) -> SubsampleSelection:
     """Shrinkage leverage subsampling: pi = alpha h/p + (1 - alpha)/n."""
-    X = _as_matrix(X)
+    sample = _prepare(X)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    indices, pi = _leverage_draw(X, r, rng, alpha=alpha)
-    return _selection(X, indices, "SLEV", weights=1.0 / (r * pi[indices]))
+    indices, pi = _leverage_draw(sample, r, rng, alpha=alpha)
+    return _selection(sample.X, indices, "SLEV", weights=1.0 / (r * pi[indices]))
 
 
 def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Unweighted leverage subsampling: the same draw as blev (identical
     indices under the same rng state) but fit by plain least squares."""
-    X = _as_matrix(X)
-    indices, _ = _leverage_draw(X, r, rng, alpha=1.0)
-    return _selection(X, indices, "LEVUNW")
+    sample = _prepare(X)
+    indices, _ = _leverage_draw(sample, r, rng, alpha=1.0)
+    return _selection(sample.X, indices, "LEVUNW")
 
 
 def _lowest(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -296,7 +321,11 @@ def iboss(X, r: int) -> SubsampleSelection:
     Cost O(np): per column and side one pass over the free rows, a
     partition for the k-th value and a sort of the k picks only.
     """
-    X = _as_matrix(X)
+    sample = _prepare(X)
+    return sample.keep(("iboss", r), lambda: _iboss(sample.X, r))
+
+
+def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
     n, p = X.shape
     if r < 2 * p:
         raise ValueError(f"need r >= 2p, got r={r}, p={p}")

@@ -218,6 +218,7 @@ def test_degenerate_theta_box_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("failed cells:") and "DegenerateBox" in err[0]
+    assert "columns [1]" in err[0]
 
 
 def test_other_package_error_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lowcon.harness as harness
+import lowcon.samplers as samplers
 from lowcon import (
     ColumnMissing,
     ConfigError,
@@ -135,6 +136,15 @@ class TestRunSimulation:
         a = run_simulation(cfg)
         b = run_simulation(cfg, _replicate_order=[4, 2, 0, 3, 1])
         assert a.rows == b.rows
+
+    def test_last_error_message_outside_equality(self):
+        # the message comes from whichever failing replicate ran last, so two
+        # runs in different replicate orders must still compare equal
+        failed = [("rare", "UNIF", 20, "RankDeficient")]
+        a = harness.SimulationResult([], {}, failed, "RankDeficient: s_p = 1e-17")
+        b = harness.SimulationResult([], {}, failed, "RankDeficient: s_p = 3e-18")
+        assert a == b
+        assert "s_p" not in repr(a)
 
     def test_response_reads_exactly_r(self):
         cfg = small_config(replicates=4, r_list=(16, 24))
@@ -281,6 +291,29 @@ class TestRunEmse:
         assert len(calls) > 5  # some replicate was retried
         assert sum(res.response_reads[("rare", "UNIF", 40)]) == 40 * len(calls)
 
+    @pytest.mark.parametrize("rare", [False, True], ids=["good", "rare-column"])
+    def test_scaling_and_box_once_per_run(self, monkeypatch, rare):
+        # the data of test_degenerate_box_fails_only_its_cell, and the same
+        # shape without its rare 0/1 column: every replicate and r reuses one
+        # scaling and one box, or the one DegenerateBox it raised
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(1000)
+        b = (np.arange(1000) < 5).astype(float) if rare else rng.standard_normal(1000)
+        y = a + b + 0.1 * rng.standard_normal(1000)
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
+                       column_names=("a", "b"))
+        calls = []
+        for name in ("scale_to_cube", "theta_box"):
+            real = getattr(samplers, name)
+            monkeypatch.setattr(samplers, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
+        cfg = ExperimentConfig(mode="realdata", r_list=(200, 300), replicates=3,
+                               seed=0, methods=ALL_METHODS)
+        res = run_emse(data, cfg)
+        assert sorted(calls) == ["scale_to_cube", "theta_box"]
+        lowcon_failed = [c for c in res.failed_cells if c[1] == "LOWCON"]
+        assert len(lowcon_failed) == (2 if rare else 0)
+
     def test_default_r_grid_from_dataset_p(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((500, 25))
@@ -347,6 +380,16 @@ class TestCsvIngestion:
         path.write_text("y,a\n1,2\n,3\nNA,4\n5,6\n")
         data = ingest_csv(path, "y", ["a"])
         assert data.X_raw.shape == (2, 1)
+        assert data.dropped_rows == 2
+
+    def test_blank_short_long_and_non_numeric_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,b\n1,2,3\n\n4,5\n6,7,8,9\n10,x,12\n13,14,15\n")
+        data = ingest_csv(path, "y", ["b", "a"])
+        # the blank line is no row; the short and the non-numeric rows are
+        # dropped; the long row keeps its first three values
+        assert np.array_equal(data.X_raw, [[3.0, 2.0], [8.0, 7.0], [15.0, 14.0]])
+        assert np.array_equal(data.y, [1.0, 6.0, 13.0])
         assert data.dropped_rows == 2
 
     def test_column_missing(self, tmp_path):

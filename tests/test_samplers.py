@@ -17,7 +17,12 @@ from lowcon import (
     theta_box,
     unif,
 )
-from lowcon.samplers import _CLAIM_BLOCK_BYTES, _claim_nearest, _leverage_probs
+from lowcon.samplers import (
+    _CLAIM_BLOCK_BYTES,
+    _claim_nearest,
+    _leverage_probs,
+    _Prepared,
+)
 
 
 class TestScaling:
@@ -434,3 +439,61 @@ def test_claim_near_ties_match_greedy_oracle(n):
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
     assert ties >= 1
+
+
+def _select(method, X, r, theta, rng):
+    """One public sampler call; theta is read by LOWCON alone."""
+    if method == "UNIF":
+        return unif(X, r, rng)
+    if method == "BLEV":
+        return blev(X, r, rng)
+    if method == "SLEV":
+        return slev(X, r, rng, alpha=0.7)
+    if method == "LEVUNW":
+        return levunw(X, r, rng)
+    if method == "IBOSS":
+        return iboss(X, r)
+    return lowcon(X, r, theta=theta, rng=rng)
+
+
+def test_shared_sample_matches_fresh_calls():
+    # one prepared sample serves every method, r and theta, in a shuffled
+    # order; each selection must be the one a fresh matrix gives
+    rng = np.random.default_rng(60)
+    X = rng.standard_t(3, (600, 3)) * [1.0, 5.0, 0.2] + [0.0, 3.0, -1.0]
+    sample = _Prepared(X)
+    calls = [(m, r, theta) for m in ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
+             for r in (12, 30) for theta in (1.0, 10.0)]
+    h = leverage_scores(X)  # the leverage of the raw X, not of the scaled X
+    for k in rng.permutation(len(calls)):
+        m, r, theta = calls[k]
+        got = _select(m, sample, r, theta, np.random.default_rng([61, k]))
+        want = _select(m, X.copy(), r, theta, np.random.default_rng([61, k]))
+        assert np.array_equal(got.indices, want.indices), calls[k]
+        assert (got.weights is None) == (want.weights is None), calls[k]
+        if got.weights is not None:
+            assert np.array_equal(got.weights, want.weights), calls[k]
+        assert got.diagnostics.kappa_sub == want.diagnostics.kappa_sub, calls[k]
+        if m == "BLEV":
+            pi = h / h.sum()
+            assert np.allclose(got.weights, 1.0 / (r * pi[got.indices]), rtol=1e-12)
+
+
+def test_leverage_svd_once_per_sample(monkeypatch):
+    X = np.random.default_rng(62).standard_normal((500, 4))
+    svd, inputs = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a)[0] == X.shape[0]:
+            inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    sample = _Prepared(X)
+    for r in (20, 40):
+        blev(sample, r, np.random.default_rng(r))
+        slev(sample, r, np.random.default_rng(r))
+        levunw(sample, r, np.random.default_rng(r))
+    assert len(inputs) == 1 and np.array_equal(inputs[0], X)
+    blev(X, 20, np.random.default_rng(0))  # a raw matrix gets its own sample
+    assert len(inputs) == 2
