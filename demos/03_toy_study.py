@@ -14,13 +14,14 @@ import numpy as np
 
 from lowcon import run_simulation, toy_config, toy_example
 
-x, y = toy_example(2000, np.random.default_rng(0))
+config = toy_config(r_list=(10, 20, 30, 40, 50), replicates=100, seed=0)
+x, y = toy_example(config.n, np.random.default_rng(0), noise_sd=np.sqrt(config.sigma2))
 print(f"Sample of {len(x)} points: core |x| <= "
       f"{np.quantile(np.abs(x), 0.9):.2f} for 90% of rows, max |x| = "
       f"{np.abs(x).max():.2f}")
 print()
 
-res = run_simulation(toy_config(r_list=(10, 20, 30, 40, 50), replicates=100, seed=0))
+res = run_simulation(config)
 
 print(f"{'labels r':>9} {'UNIF':>9} {'BLEV':>9} {'LOWCON':>9}")
 for r in (10, 20, 30, 40, 50):

@@ -21,6 +21,12 @@ MISSPECIFICATIONS = ("H1", "H2", "H3", "H4", "H5")
 _MIN_DIM = {"H1": 1, "H2": 3, "H3": 8, "H4": 8, "H5": 3}
 _CALIBRATION_TARGET = 10.0
 
+# toy_example's |x|: Gamma(3, scale) core and tail scales, tail share, clip
+_TOY_CORE_SCALE = 0.08
+_TOY_TAIL_SCALE = 0.55
+_TOY_TAIL_FRAC = 0.10
+_TOY_CAP = 3.0
+
 
 @dataclass(frozen=True)
 class MisspecTerm:
@@ -152,32 +158,26 @@ def gen_response(
 
 
 def toy_example(
-    n: int,
-    rng: np.random.Generator,
-    noise_sd: float = 0.6,
-    core_scale: float = 0.08,
-    tail_scale: float = 0.55,
-    tail_frac: float = 0.10,
-    cap: float = 3.0,
+    n: int, rng: np.random.Generator, noise_sd: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-predictor dataset y = x + sin(x^2)/2 + noise.
+    """One-predictor dataset y = x + sin(x^2)/2 + noise_sd * z.
 
     x is symmetric around zero with a dense core and a sparse informative
     tail: |x| is a two-component Gamma(3, scale) mixture (fraction
-    ``tail_frac`` from the wide component), clipped at ``cap`` and given a
-    random sign. The vanishing density at the origin keeps reciprocal
+    ``_TOY_TAIL_FRAC`` from the wide component), clipped at ``_TOY_CAP`` and
+    given a random sign. The vanishing density at the origin keeps reciprocal
     leverage weights bounded, and the rare wide-component points are exactly
     the high-information rows a uniform subsample tends to miss.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    wide = rng.random(n) < tail_frac
+    wide = rng.random(n) < _TOY_TAIL_FRAC
     magnitude = np.where(
         wide,
-        rng.gamma(3.0, tail_scale, size=n),
-        rng.gamma(3.0, core_scale, size=n),
+        rng.gamma(3.0, _TOY_TAIL_SCALE, size=n),
+        rng.gamma(3.0, _TOY_CORE_SCALE, size=n),
     )
-    magnitude = np.minimum(magnitude, cap)
+    magnitude = np.minimum(magnitude, _TOY_CAP)
     x = rng.choice(np.array([-1.0, 1.0]), size=n) * magnitude
     y = x + np.sin(x**2) / 2.0 + noise_sd * rng.standard_normal(n)
     return x, y

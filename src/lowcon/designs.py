@@ -16,6 +16,8 @@ import numpy as np
 from .exceptions import DegenerateBox, InfeasibleDesign
 
 DEFAULT_KAPPA_TARGET = 1.13
+_MAX_RESTARTS = 20
+_SWAPS_PER_ENTRY = 200  # the descent's swap cap is this many per entry of L
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,6 @@ class DesignMatrix:
     box: Box
     kappa: float
     max_abs_corr: float
-
-    @property
-    def runs(self) -> int:
-        return self.points.shape[0]
 
     @property
     def dim(self) -> int:
@@ -202,20 +200,13 @@ def _descend_correlations(
     return L, kap, swaps
 
 
-def generate_olhd(
-    r: int,
-    p: int,
-    rng: np.random.Generator,
-    kappa_target: float = DEFAULT_KAPPA_TARGET,
-    max_restarts: int = 20,
-    max_swaps: int | None = None,
-) -> DesignMatrix:
+def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     """Low-correlation Latin hypercube design on [-1, 1]^p.
 
-    Runs the swap descent from up to ``max_restarts`` random LHD starts and
-    returns the first design with ``kappa <= kappa_target``, or the lowest-
-    kappa candidate seen if the target is never reached (the achieved kappa
-    is always reported on the result, never hidden).
+    Runs the swap descent, capped at 200 r p swaps, from up to 20 random LHD
+    starts and returns the first design with ``kappa <= DEFAULT_KAPPA_TARGET``,
+    or the lowest-kappa candidate seen if the target is never reached (the
+    achieved kappa is always reported on the result, never hidden).
 
     Raises
     ------
@@ -230,16 +221,14 @@ def generate_olhd(
         raise InfeasibleDesign(
             f"r={r} runs cannot give a nonsingular {p}x{p} information matrix"
         )
-    if max_swaps is None:
-        max_swaps = 200 * r * p
     best: np.ndarray | None = None
     best_kappa = np.inf
-    for _ in range(max(1, max_restarts)):
+    for _ in range(_MAX_RESTARTS):
         L = _random_lhd_points(r, p, rng)
-        L, kap, _ = _descend_correlations(L, kappa_target, max_swaps)
+        L, kap, _ = _descend_correlations(L, DEFAULT_KAPPA_TARGET, _SWAPS_PER_ENTRY * r * p)
         if kap < best_kappa:
             best, best_kappa = L, kap
-        if best_kappa <= kappa_target:
+        if best_kappa <= DEFAULT_KAPPA_TARGET:
             break
     assert best is not None
     return _make_design(best, Box.unit_cube(p))

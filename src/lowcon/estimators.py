@@ -22,6 +22,9 @@ from .linalg import (
 )
 
 _MAD_TO_SD = 0.6744897501960817  # Phi^{-1}(0.75): MAD of a normal / its sd
+_HUBER_TUNING = 1.345  # 95% efficiency at the Gaussian
+_HUBER_MAX_ITER = 100
+_HUBER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class FitResult:
     beta: np.ndarray
     kappa_sub: float
     trace_inv: float
-    method: str = ""
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class HuberFit:
     iterations: int
 
 
-def fit_sls(X_sub, y_sub, weights=None, method: str = "") -> FitResult:
+def fit_sls(X_sub, y_sub, weights=None) -> FitResult:
     """Least-squares fit on a subsample, with condition-number diagnostics.
 
     Solved, and its arguments checked, as by :func:`least_squares`.
@@ -73,7 +75,6 @@ def fit_sls(X_sub, y_sub, weights=None, method: str = "") -> FitResult:
         beta=beta,
         kappa_sub=float((s[0] / s[-1]) ** 2),
         trace_inv=float(np.sum(1.0 / s**2)),
-        method=method,
     )
 
 
@@ -172,38 +173,34 @@ def design_mse_bound(L, sigma2: float, alpha: float) -> float:
     return sigma2 * p**2 * kappa / trace + alpha**2 * p * kappa
 
 
-def fit_huber_m(
-    X,
-    y,
-    tuning: float = 1.345,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> HuberFit:
+def fit_huber_m(X, y) -> HuberFit:
     """Huber M-estimator by iteratively reweighted least squares.
 
-    Case weights are min(1, tuning * scale / |residual|) with the scale
-    re-estimated each iteration as the normalized median absolute residual.
-    Defaults to the 95%-Gaussian-efficiency tuning constant. On hitting
-    ``max_iter`` the last iterate is returned with ``converged=False``.
+    Case weights are min(1, 1.345 * scale / |residual|), the 95%-Gaussian-
+    efficiency tuning, with the scale re-estimated each iteration as the
+    normalized median absolute residual. Converged once the largest
+    coefficient step is at most 1e-8 max(1, max|beta|); after 100 iterations
+    the last iterate is returned with ``converged=False``.
     """
     X = _as_matrix(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     beta = least_squares(X, y)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _HUBER_MAX_ITER + 1):
         resid = y - X @ beta
         abs_resid = np.abs(resid)
         scale = float(np.median(abs_resid)) / _MAD_TO_SD
         if scale <= 1e-12 * max(1.0, float(abs_resid.max())):
             return HuberFit(beta=beta, converged=True, iterations=it)
         with np.errstate(divide="ignore"):
-            w = np.minimum(1.0, tuning * scale / np.where(abs_resid > 0, abs_resid, np.inf))
+            w = np.minimum(1.0, _HUBER_TUNING * scale
+                           / np.where(abs_resid > 0, abs_resid, np.inf))
         w = np.maximum(w, 1e-12)
         beta_new = least_squares(X, y, weights=w)
         step = float(np.abs(beta_new - beta).max())
         beta = beta_new
-        if step <= tol * max(1.0, float(np.abs(beta).max())):
+        if step <= _HUBER_TOL * max(1.0, float(np.abs(beta).max())):
             return HuberFit(beta=beta, converged=True, iterations=it)
-    return HuberFit(beta=beta, converged=False, iterations=max_iter)
+    return HuberFit(beta=beta, converged=False, iterations=_HUBER_MAX_ITER)
 
 
 def condition_perturbation_ratio(X_sub, y_sub, delta_Xty) -> tuple[float, float]:

@@ -95,7 +95,7 @@ def _check_r_list(r_list, n: int, p: int, methods) -> None:
 _FIELD_TYPES = (
     (("mode", "dist", "misspec"), str, "a string"),
     (("n", "p", "replicates", "seed"), Integral, "an integer"),
-    (("theta", "sigma2", "slev_alpha"), Real, "a real number"),
+    (("theta", "sigma2"), Real, "a real number"),
     (("r_list",), (list, tuple, type(None)), "a list or null"),
     (("methods",), (list, tuple), "a list"),
     (("output_path",), (str, type(None)), "a string or null"),
@@ -123,7 +123,6 @@ class ExperimentConfig:
     replicates: int = 100
     seed: int = 0
     methods: tuple[str, ...] = METHODS
-    slev_alpha: float = 0.9
     output_path: str | None = None
 
     def __post_init__(self):
@@ -181,8 +180,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {unknown}; choose from {METHODS}")
         if not methods:
             raise ConfigError("methods must be nonempty")
-        if not 0.0 < self.slev_alpha <= 1.0:
-            raise ConfigError("slev_alpha must lie in (0, 1]")
+        for name, values in (("r_list", rl or ()), ("methods", methods)):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ConfigError(f"{name} repeats {repeats[0]!r}")
         if not realdata:
             _check_r_list(rl, self.n, self.p, methods)
 
@@ -210,7 +211,6 @@ class Dataset:
     X_raw: np.ndarray
     y: np.ndarray | None
     column_names: tuple[str, ...]
-    has_intercept: bool = True
     dropped_rows: int = 0
 
 
@@ -279,7 +279,7 @@ def _draw_selection(method, X, r, rng, config: ExperimentConfig):
     if method == "BLEV":
         return blev(X, r, rng)
     if method == "SLEV":
-        return slev(X, r, rng, alpha=config.slev_alpha)
+        return slev(X, r, rng)
     if method == "LEVUNW":
         return levunw(X, r, rng)
     if method == "IBOSS":
@@ -337,7 +337,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                         sel = _draw_selection(m, sample, r, rng, config)
                         y_sub = hidden.reveal(sel.indices)
                         fit = fit_sls(fit_design(sample.X[sel.indices]), y_sub,
-                                      weights=sel.weights, method=m)
+                                      weights=sel.weights)
                     except LowconError as exc:
                         error[m] = exc
                         if isinstance(exc, RankDeficient):
@@ -426,8 +426,10 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     be at least 2p, and with LOWCON below n.
 
     Rows are tagged with ``misspec`` in {"EMSE_OLS", "EMSE_M"} and ``dist``
-    set to the dataset name.
+    set to the dataset name. Only realdata configs are taken.
     """
+    if config.mode != "realdata":
+        raise ConfigError(f"run_emse expects realdata mode, got {config.mode}")
     if dataset.y is None:
         raise ConfigError("EMSE needs a dataset with a response column")
     X = np.asarray(dataset.X_raw, dtype=np.float64)
@@ -438,7 +440,7 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     _check_r_list(config.r_list, n, p, config.methods)
 
     def with_intercept(M):
-        return np.column_stack([np.ones(M.shape[0]), M]) if dataset.has_intercept else M
+        return np.column_stack([np.ones(M.shape[0]), M])
 
     surrogates = {
         "EMSE_OLS": least_squares(with_intercept(X), y_full),
@@ -556,7 +558,6 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
         X_raw=np.ascontiguousarray(data[:, 1:]),
         y=np.ascontiguousarray(data[:, 0]),
         column_names=tuple(predictor_columns),
-        has_intercept=True,
         dropped_rows=dropped,
     )
 

@@ -63,6 +63,8 @@ def _weighted_solve(X, y, weights, what: str) -> tuple[np.ndarray, np.ndarray]:
     r, p = X.shape
     if y.shape[0] != r:
         raise ValueError(f"y has length {y.shape[0]}, expected {r}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y entries must be finite")
     if r < p:
         raise ValueError(f"need at least as many rows ({r}) as columns ({p})")
     if weights is not None:

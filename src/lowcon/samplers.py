@@ -199,7 +199,8 @@ def lowcon(
     X,
     r: int,
     theta: float = 1.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     keep_design: bool = False,
 ) -> SubsampleSelection:
     """Low-condition-number pursuit: match a space-filling design to the data.
@@ -224,8 +225,6 @@ def lowcon(
     """
     sample = _prepare(X)
     n, p = sample.X.shape
-    if rng is None:
-        rng = np.random.default_rng()
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
     X_scaled = sample.keep("scaled", lambda: scale_to_cube(sample.X)[0])

@@ -152,6 +152,24 @@ def test_diagnose_rejects_realdata_config(tmp_path, capsys):
     assert "realdata" in err[0] and captured.out == ""
 
 
+def test_emse_rejects_simulate_config(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 100))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a - b + 0.1 * rng.standard_normal(100), a, b])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "r_list": [20], "replicates": 1, "methods": ["UNIF"],
+    }))
+    code = main(["emse", "--config", str(cfg), "--data", str(data),
+                 "--response", "y", "--predictors", "a,b"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "simulate" in err[0] and "EMSE_OLS" not in captured.out
+
+
 def test_olhd_prints_design(capsys):
     code = main(["olhd", "--r", "9", "--p", "2", "--seed", "3"])
     assert code == 0

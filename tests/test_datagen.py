@@ -15,6 +15,7 @@ from lowcon import (
     misspec_values,
     toy_example,
 )
+from lowcon.datagen import _TOY_CAP
 
 
 class TestCovariance:
@@ -195,10 +196,10 @@ class TestToyExample:
         assert inside.mean() >= 0.9999
 
     def test_deterministic(self):
-        a = toy_example(100, np.random.default_rng(16))
-        b = toy_example(100, np.random.default_rng(16))
+        a = toy_example(100, np.random.default_rng(16), noise_sd=0.6)
+        b = toy_example(100, np.random.default_rng(16), noise_sd=0.6)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_magnitude_cap(self):
-        x, _ = toy_example(50_000, np.random.default_rng(17), cap=2.0)
-        assert np.abs(x).max() <= 2.0
+        x, _ = toy_example(50_000, np.random.default_rng(17), noise_sd=0.6)
+        assert np.abs(x).max() == _TOY_CAP

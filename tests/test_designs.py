@@ -11,7 +11,12 @@ from lowcon import (
     lhd_levels,
     rescale_design,
 )
-from lowcon.designs import _descend_correlations, _row_sqdist, _swap_scores
+from lowcon.designs import (
+    DEFAULT_KAPPA_TARGET,
+    _descend_correlations,
+    _row_sqdist,
+    _swap_scores,
+)
 
 
 class TestLevels:
@@ -149,8 +154,8 @@ class TestSwapDescent:
     def test_memory_stays_bounded_at_large_r(self):
         tracemalloc.start()
         try:
-            generate_olhd(1000, 20, np.random.default_rng(51),
-                          max_restarts=1, max_swaps=1)
+            L = generate_lhd(1000, 20, np.random.default_rng(51)).points
+            _descend_correlations(L, DEFAULT_KAPPA_TARGET, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

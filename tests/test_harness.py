@@ -86,6 +86,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(methods=("UNIF", "NOPE"))
 
+    def test_repeated_r_rejected(self):
+        # a repeated r would rerun its cells and overwrite their read counts
+        with pytest.raises(ConfigError, match="r_list repeats 16"):
+            small_config(r_list=(16, 20, 16))
+
+    def test_repeated_method_rejected_after_upper_casing(self):
+        with pytest.raises(ConfigError, match="methods repeats 'UNIF'"):
+            small_config(methods=("unif", "LOWCON", "UNIF"))
+
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"mode": "simulate", "bogus": 1}')
@@ -216,6 +225,14 @@ class TestRunEmse:
                 medians[m].append(float(np.median(per_seed[m])))
         for m in cfg_methods:
             assert medians[m][0] > medians[m][1] > medians[m][2]
+
+    def test_non_finite_response_named(self):
+        data = planted_dataset(n=100)
+        data.y[7] = np.nan
+        cfg = ExperimentConfig(mode="realdata", r_list=(30,), replicates=1,
+                               methods=("UNIF",))
+        with pytest.raises(ValueError, match="y entries must be finite"):
+            run_emse(data, cfg)
 
     def test_reports_both_surrogates(self):
         data = planted_dataset(n=100)

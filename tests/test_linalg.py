@@ -54,6 +54,11 @@ class TestLeastSquares:
         with pytest.raises(RankDeficient):
             least_squares(X, np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_y(self, bad):
+        with pytest.raises(ValueError, match="y entries must be finite"):
+            least_squares(np.eye(2), [1.0, bad])
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(2), [1.0, 2.0], weights=[1.0, -1.0])
