@@ -92,7 +92,8 @@ def _check_dim(kind: str, p: int) -> None:
         raise ValueError(f"unknown misspecification {kind!r}")
     if p < _MIN_DIM[kind]:
         raise DimensionTooSmall(
-            f"{kind} references coordinate {_MIN_DIM[kind]}, but p={p}"
+            f"misspec {kind} references coordinate {_MIN_DIM[kind]}, "
+            f"so p must be at least {_MIN_DIM[kind]}, got p={p}"
         )
 
 

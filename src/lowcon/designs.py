@@ -18,6 +18,7 @@ from .exceptions import DegenerateBox, InfeasibleDesign
 DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
 _SWAPS_PER_ENTRY = 200  # the descent's swap cap is this many per entry of L
+_SWAP_BLOCK_ROWS = 64  # rows a per block of swap scores and of D2's build
 
 
 @dataclass(frozen=True)
@@ -124,25 +125,48 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
 
 def _row_sqdist(L: np.ndarray) -> np.ndarray:
     """D2[a, b] = ||L[b] - L[a]||^2, summed column by column from the direct
-    differences (not from L @ L.T, whose norms would cancel)."""
+    differences (not from L @ L.T, whose norms would cancel), one block of
+    ``_SWAP_BLOCK_ROWS`` rows a at a time."""
     r, p = L.shape
     D2 = np.zeros((r, r))
-    for k in range(p):
-        diff = L[None, :, k] - L[:, None, k]
-        D2 += diff * diff
+    for a0 in range(0, r, _SWAP_BLOCK_ROWS):
+        a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
+        for k in range(p):
+            diff = L[None, :, k] - L[a0:a1, None, k]
+            D2[a0:a1] += diff * diff
     return D2
 
 
-def _swap_scores(L: np.ndarray, j: int, G: np.ndarray, D2: np.ndarray) -> np.ndarray:
-    """rss[a, b]: the off-diagonal sum of squares of Gram row j after swapping
-    L[a, j] and L[b, j], for every pair at once; the diagonal is the current
-    value. ``G`` is L.T @ L and ``D2`` is ``_row_sqdist(L)``."""
+def _best_swap(
+    L: np.ndarray, j: int, G: np.ndarray, D2: np.ndarray
+) -> tuple[int, int, float, float]:
+    """The best swap of column j as (a, b, rss_ab, g.g), where rss_ab is the
+    off-diagonal sum of squares of Gram row j after swapping L[a, j] and
+    L[b, j] and g.g is its current value. ``G`` is L.T @ L and ``D2`` is
+    ``_row_sqdist(L)``.
+
+    Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
+    b >= the block's first row. rss is bit-symmetric in (a, b), so the first
+    row-major minimum over all r^2 pairs has b >= a and lies in one of the
+    blocks; keeping the first strict minimum across blocks returns that
+    pair."""
     g = G[j].copy()
     g[j] = 0.0
+    gg = g @ g
     v = L @ g
-    d = L[None, :, j] - L[:, None, j]
-    d2 = d * d
-    return g @ g - 2.0 * d * (v[None, :] - v[:, None]) + d2 * (D2 - d2)
+    x = L[:, j]
+    r = x.shape[0]
+    best = (0, 0, np.inf)
+    for a0 in range(0, r, _SWAP_BLOCK_ROWS):
+        a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
+        d = x[a0:] - x[a0:a1, None]
+        d2 = d * d
+        rss = gg - 2.0 * d * (v[a0:] - v[a0:a1, None]) + d2 * (D2[a0:a1, a0:] - d2)
+        k = int(np.argmin(rss))
+        da, db = divmod(k, rss.shape[1])
+        if rss[da, db] < best[2]:
+            best = (a0 + da, a0 + db, float(rss[da, db]))
+    return (*best, float(gg))
 
 
 def _descend_correlations(
@@ -162,9 +186,11 @@ def _descend_correlations(
 
         rss_ab = g.g - 2 d_ab (v_b - v_a) + d_ab^2 (D2_ab - d_ab^2).
 
-    A step costs O(rp + r^2) time and O(r^2) memory. D2 is built once per
+    ``_best_swap`` scores only the pairs b >= a, plus each row block's small
+    lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
     call in O(r^2 p); an accepted swap changes only its rows and columns a
-    and b, an O(r) update."""
+    and b, an O(r) update. Memory is bounded by 8 r^2 bytes for D2 plus
+    O(_SWAP_BLOCK_ROWS * r) for one block of scores or of D2's build."""
     p = L.shape[1]
     G = L.T @ L
     kap = _gram_kappa(G)
@@ -176,11 +202,10 @@ def _descend_correlations(
     while improved:
         improved = False
         for j in range(p):
-            rss = _swap_scores(L, j, G, D2)
-            a, b = np.unravel_index(np.argmin(rss), rss.shape)
-            # rss[a, a] is g.g exactly, so a no-op "swap" can never pass this
-            # test and keep a sweep at a local optimum from ending.
-            if rss[a, b] < rss[a, a] - 1e-15:
+            a, b, rss_ab, gg = _best_swap(L, j, G, D2)
+            # a no-op (a, a) "swap" scores g.g exactly, so it can never pass
+            # this test and keep a sweep at a local optimum from ending.
+            if rss_ab < gg - 1e-15:
                 x = L[:, j]
                 delta = (x[b] - x) ** 2 - (x[a] - x) ** 2
                 delta[[a, b]] = 0.0

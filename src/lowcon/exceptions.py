@@ -21,10 +21,6 @@ class DegenerateBox(LowconError):
     """Design-space box has a zero-width side."""
 
 
-class DimensionTooSmall(LowconError):
-    """Misspecification term references a coordinate beyond the data dimension."""
-
-
 class DegenerateSample(LowconError):
     """Calibration target is identically zero on the sample."""
 
@@ -35,6 +31,10 @@ class AssumptionViolated(LowconError):
 
 class ConfigError(LowconError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class DimensionTooSmall(ConfigError):
+    """Misspecification term references a coordinate beyond the data dimension."""
 
 
 class DataError(LowconError):

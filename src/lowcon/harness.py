@@ -148,15 +148,15 @@ class ExperimentConfig:
                 f"simulate mode needs dist in {DISTRIBUTIONS} and "
                 f"misspec in {MISSPECIFICATIONS}"
             )
+        if self.mode == "toy" and (self.dist, self.misspec, self.p) != ("TOY", "-", 1):
+            raise ConfigError(
+                "toy mode draws one predictor, so it needs dist 'TOY', misspec '-' "
+                f"and p 1, got dist {self.dist!r}, misspec {self.misspec!r}, p {self.p}"
+            )
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
         if self.mode == "simulate":
-            min_dim = datagen._MIN_DIM[self.misspec]
-            if self.p < min_dim:
-                raise ConfigError(
-                    f"misspec {self.misspec} references coordinate {min_dim}, "
-                    f"so p must be at least {min_dim}, got p={self.p}"
-                )
+            datagen._check_dim(self.misspec, self.p)
         # in realdata mode the dataset, not the config, fixes n and p:
         # run_emse fills the default r grid from the dataset's p and checks
         # every r against its n and p
@@ -388,8 +388,7 @@ def run_simulation(config: ExperimentConfig, _replicate_order=None) -> Simulatio
         X, beta0, y = _simulate_data(config, r, i, attempt)
         return _Prepared(X), y, {config.misspec: beta0}, lambda M: M
 
-    row_fields = dict(dist=config.dist, n=config.n,
-                      p=config.p if config.mode != "toy" else 1)
+    row_fields = dict(dist=config.dist, n=config.n, p=config.p)
     return _run_cells(config, (config.dist, config.misspec), _cell_key(config),
                       draw, row_fields, order)
 

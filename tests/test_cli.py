@@ -191,6 +191,21 @@ def test_misspec_needing_more_dimensions_exit_code(tmp_path, capsys):
     assert "H3" in err and "p=5" in err
 
 
+def test_toy_config_naming_other_data_exit_code(tmp_path, capsys):
+    # toy mode draws one predictor, so a config naming D2/H3 with p = 9
+    # would label toy rows with a distribution and shape they never used
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "toy", "dist": "D2", "misspec": "H3", "n": 300, "p": 9,
+        "r_list": [20], "replicates": 1, "methods": ["UNIF"],
+    }))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "'D2'" in err[0] and "'H3'" in err[0] and captured.out == ""
+
+
 def test_infeasible_design_exit_code(capsys):
     assert main(["olhd", "--r", "3", "--p", "5"]) == 2
     assert capsys.readouterr().err.startswith("config error:")

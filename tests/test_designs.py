@@ -13,9 +13,9 @@ from lowcon import (
 )
 from lowcon.designs import (
     DEFAULT_KAPPA_TARGET,
+    _best_swap,
     _descend_correlations,
     _row_sqdist,
-    _swap_scores,
 )
 
 
@@ -102,32 +102,134 @@ class TestOlhd:
         assert d.kappa > 1.13
 
 
-def _offdiag_rss(L, j):
-    """Off-diagonal sum of squares of Gram row j, recomputed from scratch."""
-    row = L.T @ L[:, j]
-    row[j] = 0.0
-    return float(row @ row)
-
-
 def _offdiag_objective(L):
     G = L.T @ L
     return float((G * G).sum() - (np.diag(G) ** 2).sum())
 
 
+def _exact_swap_rss(L, j):
+    """Off-diagonal sum of squares of Gram row j after swapping L[a, j] and
+    L[b, j], for every pair, recomputed from scratch in integers: the LHD
+    levels are (2k - 1 - r) / r, so r * L is integral and every entry is
+    r^4 times the exact value."""
+    r = L.shape[0]
+    K = np.rint(L * r).astype(np.int64)
+    out = np.empty((r, r), dtype=np.int64)
+    for a in range(r):
+        for b in range(r):
+            M = K.copy()
+            M[a, j], M[b, j] = M[b, j], M[a, j]
+            row = M.T @ M[:, j]
+            row[j] = 0
+            out[a, b] = row @ row
+    return out
+
+
+def _full_swap_scores(L, j, G, D2):
+    """Every pair's swap score as one r x r matrix, the closed form the
+    blocked search must reproduce bit for bit (rows a, columns b)."""
+    g = G[j].copy()
+    g[j] = 0.0
+    v = L @ g
+    d = L[None, :, j] - L[:, None, j]
+    d2 = d * d
+    return g @ g - 2.0 * d * (v[None, :] - v[:, None]) + d2 * (D2 - d2)
+
+
+def _full_sqdist(L):
+    diff = L[None, :, :] - L[:, None, :]
+    D2 = np.zeros((L.shape[0],) * 2)
+    for k in range(L.shape[1]):
+        D2 += diff[:, :, k] * diff[:, :, k]
+    return D2
+
+
+def _reference_olhd(r, p, rng):
+    """generate_olhd with the whole r x r score matrix per column step and
+    its first row-major argmin: 20 random LHD starts, each descended until
+    kappa <= 1.13, 200 r p swaps, or a sweep without a swap. G and D2 get
+    the same O(r) updates after a swap, so ties round the same way."""
+    levels = lhd_levels(r)
+    best, best_kappa = None, np.inf
+    for _ in range(20):
+        L = np.empty((r, p))
+        for j in range(p):
+            L[:, j] = rng.permutation(levels)
+        G = L.T @ L
+        ev = np.linalg.eigvalsh(G)
+        kap = ev[-1] / ev[0] if ev[0] > 0 else np.inf
+        D2 = _full_sqdist(L)
+        swaps, improved = 0, kap > DEFAULT_KAPPA_TARGET
+        while improved:
+            improved = False
+            for j in range(p):
+                rss = _full_swap_scores(L, j, G, D2)
+                a, b = np.unravel_index(np.argmin(rss), rss.shape)
+                if not rss[a, b] < rss[a, a] - 1e-15:
+                    continue
+                x = L[:, j]
+                delta = (x[b] - x) ** 2 - (x[a] - x) ** 2
+                delta[[a, b]] = 0.0
+                D2[a] += delta
+                D2[b] -= delta
+                D2[:, a] = D2[a]
+                D2[:, b] = D2[b]
+                L[a, j], L[b, j] = L[b, j], L[a, j]
+                G[j, :] = G[:, j] = L.T @ L[:, j]
+                swaps += 1
+                improved = True
+                ev = np.linalg.eigvalsh(G)
+                kap = ev[-1] / ev[0] if ev[0] > 0 else np.inf
+                if kap <= DEFAULT_KAPPA_TARGET or swaps == 200 * r * p:
+                    improved = False
+                    break
+        if kap < best_kappa:
+            best, best_kappa = L, kap
+        if best_kappa <= DEFAULT_KAPPA_TARGET:
+            break
+    return best
+
+
 class TestSwapDescent:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_swap_scores_match_recomputed_gram(self, p):
-        r = 9
-        L = generate_lhd(r, p, np.random.default_rng(30 + p)).points
-        G, D2 = L.T @ L, _row_sqdist(L)
-        for j in range(p):
-            oracle = np.empty((r, r))
-            for a in range(r):
-                for b in range(r):
-                    M = L.copy()
-                    M[a, j], M[b, j] = M[b, j], M[a, j]
-                    oracle[a, b] = _offdiag_rss(M, j)
-            np.testing.assert_allclose(_swap_scores(L, j, G, D2), oracle, rtol=1e-12)
+        # r = 70 spans two row blocks; p = 2 meets exact score ties
+        ties = 0
+        for r in (9, 70):
+            L = generate_lhd(r, p, np.random.default_rng(30 + p)).points
+            G, D2 = L.T @ L, _row_sqdist(L)
+            for j in range(p):
+                exact = _exact_swap_rss(L, j)
+                a, b, rss_ab, gg = _best_swap(L, j, G, D2)
+                assert exact[a, b] == exact.min() and b >= a
+                minimizers = np.argwhere(exact == exact.min())
+                if len(minimizers) > 2:  # more than the pair and its mirror
+                    ties += 1
+                    # exact ties are broken by the closed form's rounding,
+                    # as the whole-matrix first argmin breaks them
+                    full = _full_swap_scores(L, j, G, D2)
+                    assert (a, b) == np.unravel_index(np.argmin(full), full.shape)
+                else:
+                    assert (a, b) == tuple(minimizers[0])
+                assert rss_ab == pytest.approx(exact[a, b] / r**4, rel=1e-12)
+                assert gg == pytest.approx(exact[a, a] / r**4, rel=1e-12)
+        if p == 2:
+            assert ties > 0
+
+    def test_tie_across_blocks_keeps_the_first_pair(self):
+        # with one column every swap leaves the empty off-diagonal empty, so
+        # all r^2 scores are exactly 0 and the first row-major pair wins
+        L = generate_lhd(130, 1, np.random.default_rng(34)).points
+        assert _best_swap(L, 0, L.T @ L, _row_sqdist(L)) == (0, 0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("r, p, seeds", [(20, 3, 100), (30, 2, 100),
+                                             (130, 2, 10), (100, 5, 10)])
+    def test_designs_match_whole_matrix_descent(self, r, p, seeds):
+        # small p meets exact ties; r > 64 spans several row blocks
+        for seed in range(seeds):
+            got = generate_olhd(r, p, np.random.default_rng(seed)).points
+            want = _reference_olhd(r, p, np.random.default_rng(seed))
+            assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("r, p", [(12, 2), (15, 3), (20, 5)])
     def test_descent_ends_at_local_optimum(self, r, p):
@@ -160,6 +262,17 @@ class TestSwapDescent:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+    def test_memory_is_one_r_by_r_matrix(self):
+        # D2 is 8 r^2 bytes (30.5 MiB here); the scores add O(64 r)
+        L = generate_lhd(2000, 10, np.random.default_rng(52)).points
+        tracemalloc.start()
+        try:
+            _descend_correlations(L, DEFAULT_KAPPA_TARGET, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestRescale:

@@ -7,12 +7,14 @@ from lowcon import (
     ColumnMissing,
     ConfigError,
     Dataset,
+    DimensionTooSmall,
     EmptyAfterFiltering,
     ExperimentConfig,
     HiddenResponses,
     diagnose,
     ingest_csv,
     load_config,
+    misspec_values,
     run_emse,
     run_simulation,
     toy_config,
@@ -69,6 +71,14 @@ class TestConfig:
         message = str(err.value)
         assert need in message
         assert f"r={r}" in message and "n=300" in message and "p=4" in message
+
+    def test_dimension_rule_is_datagens(self):
+        # the config raises datagen's own error, which is a ConfigError
+        with pytest.raises(DimensionTooSmall) as err:
+            ExperimentConfig(misspec="H3", n=300, p=7, r_list=(20,))
+        assert isinstance(err.value, ConfigError)
+        with pytest.raises(DimensionTooSmall):
+            misspec_values("H3", np.zeros((5, 7)), 1.0)
 
     def test_realdata_r_not_checked_against_config_p(self):
         # the dataset fixes p in realdata mode; the default p=10 must not
