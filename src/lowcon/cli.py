@@ -7,10 +7,12 @@ of a simulate config), and olhd (print a low-correlation design).
 Exit codes, each failure reported as one line on stderr:
 
 * 0 success
-* 2 configuration error: ``ConfigError``, or ``InfeasibleDesign`` when the
-  requested r and p cannot give a nonsingular design
-* 3 data error: ``DataError``, a missing data file, or, in diagnose,
-  ``DegenerateBox`` when a predictor column leaves a zero-width theta box
+* 2 configuration error: ``ConfigError``, including a config file that
+  cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
+  p cannot give a nonsingular design
+* 3 data error: ``DataError``, an input or output file that cannot be
+  opened, or, in diagnose, ``DegenerateBox`` when a predictor column leaves
+  a zero-width theta box
 * 4 numerical failure: failed cells, listed by error class with the last
   error's message after the CSV is written, or any other ``LowconError``
 
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
     except (ConfigError, InfeasibleDesign) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DegenerateBox, FileNotFoundError) as exc:
+    except (DataError, DegenerateBox, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except LowconError as exc:

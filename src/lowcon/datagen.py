@@ -113,12 +113,6 @@ def misspec_values(kind: str, X: np.ndarray, constant: float) -> np.ndarray:
     return constant * x3**2
 
 
-def misspec_value(kind: str, x, constant: float) -> float:
-    """h(x) for a single predictor vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(misspec_values(kind, x, constant)[0])
-
-
 def calibrate_constant(kind: str, X: np.ndarray) -> float:
     """Multiplier making max_i |h(x_i)| equal 10 on this sample (H3-H5)."""
     if kind not in ("H3", "H4", "H5"):

@@ -50,7 +50,6 @@ class MseReport:
 class WorstCase:
     """Worst-case MSE bound and the mean-shift vector h_star attaining it."""
 
-    alpha: float
     bound: float
     h_star: np.ndarray
 
@@ -121,7 +120,7 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
     if nz.size and direction[nz[0]] < 0:
         direction = -direction
     h_star = alpha * np.sqrt(trace) * direction
-    return WorstCase(alpha=alpha, bound=bound, h_star=h_star)
+    return WorstCase(bound=bound, h_star=h_star)
 
 
 def _extreme_singulars(L, D) -> tuple[float, float, float]:
@@ -201,28 +200,3 @@ def fit_huber_m(X, y) -> HuberFit:
         if step <= _HUBER_TOL * max(1.0, float(np.abs(beta).max())):
             return HuberFit(beta=beta, converged=True, iterations=it)
     return HuberFit(beta=beta, converged=False, iterations=_HUBER_MAX_ITER)
-
-
-def condition_perturbation_ratio(X_sub, y_sub, delta_Xty) -> tuple[float, float]:
-    """Relative coefficient change from perturbing X'y, and its bound.
-
-    Returns (lhs, rhs) with lhs = ||delta beta|| / ||beta|| and
-    rhs = kappa(X'X) * ||delta|| / ||X'y||; lhs <= rhs always holds, with
-    equality for orthonormal designs.
-    """
-    X_sub = _as_matrix(X_sub)
-    y = np.asarray(y_sub, dtype=np.float64).reshape(-1)
-    delta = np.asarray(delta_Xty, dtype=np.float64).reshape(-1)
-    if delta.shape[0] != X_sub.shape[1]:
-        raise ValueError("delta_Xty must have length p")
-    u, s, vt = _svd_full_rank(X_sub, "condition_perturbation_ratio")
-    xty = vt.T @ (s * (u.T @ y))
-    norm_xty = float(np.linalg.norm(xty))
-    if norm_xty == 0.0:
-        raise ValueError("X'y must be nonzero")
-    beta = vt.T @ ((u.T @ y) / s)
-    delta_beta = vt.T @ ((vt @ delta) / s**2)
-    kappa = float((s[0] / s[-1]) ** 2)
-    lhs = float(np.linalg.norm(delta_beta) / np.linalg.norm(beta))
-    rhs = kappa * float(np.linalg.norm(delta)) / norm_xty
-    return lhs, rhs

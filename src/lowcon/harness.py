@@ -47,6 +47,7 @@ from .estimators import (
 from .exceptions import (
     ColumnMissing,
     ConfigError,
+    DataError,
     EmptyAfterFiltering,
     LowconError,
     RankDeficient,
@@ -210,7 +211,6 @@ class Dataset:
     name: str
     X_raw: np.ndarray
     y: np.ndarray | None
-    column_names: tuple[str, ...]
     dropped_rows: int = 0
 
 
@@ -525,28 +525,29 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
 
     Rows where any selected column is missing or fails to parse as a number
     are dropped; the count of dropped rows is kept on the Dataset. Column
-    order follows ``predictor_columns``.
+    order follows ``predictor_columns``. A file that cannot be opened raises
+    its ``OSError``; one that cannot be decoded raises ``DataError``.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    predictor_columns = list(predictor_columns)
-    wanted = [response_column] + predictor_columns
+    wanted = [response_column] + list(predictor_columns)
     rows: list[list[float]] = []
     dropped = 0
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ColumnMissing(f"columns {missing} not found in {path.name}")
-        position = {name: j for j, name in enumerate(header)}  # last one wins
-        at = [position[c] for c in wanted]
-        for record in filter(None, reader):  # a blank line is no row
-            try:
-                rows.append([float(record[j]) for j in at])
-            except (IndexError, ValueError):  # a short row or a non-number
-                dropped += 1
+        try:
+            header = next(reader, [])
+            missing = [c for c in wanted if c not in header]
+            if missing:
+                raise ColumnMissing(f"columns {missing} not found in {path.name}")
+            position = {name: j for j, name in enumerate(header)}  # last one wins
+            at = [position[c] for c in wanted]
+            for record in filter(None, reader):  # a blank line is no row
+                try:
+                    rows.append([float(record[j]) for j in at])
+                except (IndexError, ValueError):  # a short row or a non-number
+                    dropped += 1
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot decode {path.name}: {exc}") from exc
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(wanted))
     data = data[np.isfinite(data).all(axis=1)]
     dropped += len(rows) - data.shape[0]
@@ -556,7 +557,6 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
         name=path.stem,
         X_raw=np.ascontiguousarray(data[:, 1:]),
         y=np.ascontiguousarray(data[:, 0]),
-        column_names=tuple(predictor_columns),
         dropped_rows=dropped,
     )
 
@@ -591,10 +591,12 @@ def write_result_csv(rows, path) -> None:
 def load_config(path) -> ExperimentConfig:
     """Load an ExperimentConfig from a flat JSON object; unknown keys fail."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path.name}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -28,16 +28,10 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def rank_tolerance(s: np.ndarray, rows: int, cols: int) -> float:
-    """Absolute cutoff below which a singular value counts as zero."""
-    if s.size == 0:
-        return 0.0
-    return max(rows, cols) * float(s[0]) * RANK_RTOL
-
-
 def _rank_deficient(s: np.ndarray, rows: int, cols: int) -> bool:
     """Whether singular values ``s`` of a rows x cols matrix give rank < cols."""
-    return s.size < cols or s[0] == 0.0 or s[-1] < rank_tolerance(s, rows, cols)
+    return (s.size < cols or s[0] == 0.0
+            or s[-1] < max(rows, cols) * float(s[0]) * RANK_RTOL)
 
 
 def _require_full_rank(s: np.ndarray, rows: int, cols: int, what: str) -> None:

@@ -18,20 +18,6 @@ from .linalg import _as_matrix, condition_number, leverage_scores
 
 
 @dataclass(frozen=True)
-class ScalingSpec:
-    """Per-column min/max of the raw sample, defining the map onto [-1, 1]^p."""
-
-    col_min: np.ndarray
-    col_max: np.ndarray
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return 2.0 * (X - self.col_min) / (self.col_max - self.col_min) - 1.0
-
-    def inverse(self, X_scaled: np.ndarray) -> np.ndarray:
-        return self.col_min + (X_scaled + 1.0) * (self.col_max - self.col_min) / 2.0
-
-
-@dataclass(frozen=True)
 class SelectionDiagnostics:
     kappa_sub: float
     mean_nn_distance: float | None = None
@@ -47,7 +33,6 @@ class SubsampleSelection:
     """
 
     indices: np.ndarray
-    method: str
     weights: np.ndarray | None = None
     diagnostics: SelectionDiagnostics = field(
         default_factory=lambda: SelectionDiagnostics(kappa_sub=np.nan)
@@ -55,20 +40,18 @@ class SubsampleSelection:
     design: DesignMatrix | None = None
     perturbation: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.indices)
 
+def scale_to_cube(X) -> tuple[np.ndarray, Box]:
+    """Affinely map each column of X onto [-1, 1] (min to -1, max to +1).
 
-def scale_to_cube(X) -> tuple[np.ndarray, ScalingSpec]:
-    """Affinely map each column of X onto [-1, 1] (min to -1, max to +1)."""
+    Returns the scaled X and the raw per-column [min, max] it maps from."""
     X = _as_matrix(X)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     flat = np.nonzero(hi <= lo)[0]
     if flat.size:
         raise ConstantColumn(f"columns {flat.tolist()} have zero range")
-    spec = ScalingSpec(col_min=lo, col_max=hi)
-    return spec.transform(X), spec
+    return 2.0 * (X - lo) / (hi - lo) - 1.0, Box(lower=lo, upper=hi)
 
 
 def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
@@ -184,12 +167,11 @@ def _claim_nearest(
     return indices, dists
 
 
-def _selection(X: np.ndarray, indices: np.ndarray, method: str,
+def _selection(X: np.ndarray, indices: np.ndarray,
                weights: np.ndarray | None = None) -> SubsampleSelection:
     """A baseline's selection, with the condition number of its rows."""
     return SubsampleSelection(
         indices=indices,
-        method=method,
         weights=weights,
         diagnostics=SelectionDiagnostics(kappa_sub=condition_number(X[indices])),
     )
@@ -237,7 +219,6 @@ def lowcon(
     )
     return SubsampleSelection(
         indices=indices,
-        method="LOWCON",
         diagnostics=diag,
         design=design if keep_design else None,
         perturbation=(X_scaled[indices] - design.points) if keep_design else None,
@@ -251,7 +232,11 @@ def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     indices = np.asarray(rng.choice(n, size=r, replace=False), dtype=np.intp)
-    return _selection(X, indices, "UNIF")
+    return _selection(X, indices)
+
+
+# slev's leverage share, the shrinkage Ma, Mahoney & Yu (2015) recommend
+_SLEV_ALPHA = 0.9
 
 
 def _leverage_probs(X, alpha: float) -> np.ndarray:
@@ -277,16 +262,14 @@ def blev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     with replacement, and 1 / (r pi) weights for weighted least squares."""
     sample = _prepare(X)
     indices, pi = _leverage_draw(sample, r, rng, alpha=1.0)
-    return _selection(sample.X, indices, "BLEV", weights=1.0 / (r * pi[indices]))
+    return _selection(sample.X, indices, weights=1.0 / (r * pi[indices]))
 
 
-def slev(X, r: int, rng: np.random.Generator, alpha: float = 0.9) -> SubsampleSelection:
-    """Shrinkage leverage subsampling: pi = alpha h/p + (1 - alpha)/n."""
+def slev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
+    """Shrinkage leverage subsampling: pi = 0.9 h/p + 0.1/n."""
     sample = _prepare(X)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    indices, pi = _leverage_draw(sample, r, rng, alpha=alpha)
-    return _selection(sample.X, indices, "SLEV", weights=1.0 / (r * pi[indices]))
+    indices, pi = _leverage_draw(sample, r, rng, alpha=_SLEV_ALPHA)
+    return _selection(sample.X, indices, weights=1.0 / (r * pi[indices]))
 
 
 def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
@@ -294,7 +277,7 @@ def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     indices under the same rng state) but fit by plain least squares."""
     sample = _prepare(X)
     indices, _ = _leverage_draw(sample, r, rng, alpha=1.0)
-    return _selection(sample.X, indices, "LEVUNW")
+    return _selection(sample.X, indices)
 
 
 def _lowest(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -362,4 +345,4 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
             take_small = not take_small
             m -= 1
     indices = np.concatenate(chosen).astype(np.intp, copy=False)
-    return _selection(X, indices, "IBOSS")
+    return _selection(X, indices)

@@ -51,9 +51,4 @@ def soil_like_dataset(
         + 4.0 * bent(z[:, 4])
         + noise_scale * t_noise(6, n)
     )
-    return Dataset(
-        name="soil_like",
-        X_raw=X,
-        y=y,
-        column_names=("CTI", "ELEV", "RELI", "TMAP", "TMFI"),
-    )
+    return Dataset(name="soil_like", X_raw=X, y=y)

@@ -289,3 +289,40 @@ def test_emse_r_out_of_range_for_dataset_exit_code(tmp_path, capsys, n_pred, r,
     assert len(err) == 1
     assert err[0].startswith("config error:")
     assert need in err[0] and f"r={r}" in err[0] and "n=60" in err[0]
+
+
+def _single_error_line(capsys, prefix):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+def test_config_directory_exit_code(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path)]) == 2
+    _single_error_line(capsys, "config error:")
+
+
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe" + '{"mode": "simulate"}'.encode("utf-16-le"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    _single_error_line(capsys, "config error:")
+
+
+def test_emse_data_directory_exit_code(tmp_path, capsys):
+    args = _emse_args(tmp_path, tmp_path, ["UNIF"])
+    assert main(args) == 3
+    _single_error_line(capsys, "data error:")
+
+
+def test_emse_data_not_utf8_exit_code(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\xff\xfe" + "y,a,b\n1,2,3\n".encode("utf-16-le"))
+    assert main(_emse_args(tmp_path, data, ["UNIF"])) == 3
+    _single_error_line(capsys, "data error:")
+
+
+def test_simulate_out_directory_exit_code(sim_config, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 3
+    _single_error_line(capsys, "data error:")

@@ -11,7 +11,6 @@ from lowcon import (
     gen_predictors,
     gen_response,
     make_misspec,
-    misspec_value,
     misspec_values,
     toy_example,
 )
@@ -97,24 +96,24 @@ class TestPredictors:
 
 class TestMisspec:
     def test_h1_zero(self):
-        x = np.random.default_rng(7).standard_normal(10)
-        assert misspec_value("H1", x, 0.0) == 0.0
+        x = np.random.default_rng(7).standard_normal((1, 10))
+        assert np.array_equal(misspec_values("H1", x, 0.0), [0.0])
 
     def test_h2_sin_peak(self):
-        x = np.zeros(10)
-        x[2] = np.pi / 2
-        assert misspec_value("H2", x, 10.0) == pytest.approx(10.0)
+        x = np.zeros((1, 10))
+        x[0, 2] = np.pi / 2
+        assert misspec_values("H2", x, 10.0) == pytest.approx([10.0])
 
     def test_h3_product(self):
-        x = np.zeros(8)
-        x[2], x[7] = 3.0, 4.0
-        assert misspec_value("H3", x, 2.0) == pytest.approx(24.0)
+        x = np.zeros((1, 8))
+        x[0, 2], x[0, 7] = 3.0, 4.0
+        assert misspec_values("H3", x, 2.0) == pytest.approx([24.0])
 
     def test_h4_and_h5_formulas(self):
-        x = np.zeros(8)
-        x[2], x[7] = 2.0, np.pi / 2
-        assert misspec_value("H4", x, 3.0) == pytest.approx(6.0)
-        assert misspec_value("H5", x, 0.5) == pytest.approx(2.0)
+        x = np.zeros((1, 8))
+        x[0, 2], x[0, 7] = 2.0, np.pi / 2
+        assert misspec_values("H4", x, 3.0) == pytest.approx([6.0])
+        assert misspec_values("H5", x, 0.5) == pytest.approx([2.0])
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):

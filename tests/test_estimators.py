@@ -4,7 +4,6 @@ import pytest
 from lowcon import (
     AssumptionViolated,
     RankDeficient,
-    condition_perturbation_ratio,
     fit_huber_m,
     fit_sls,
     generate_olhd,
@@ -272,26 +271,3 @@ class TestHuber:
         assert not fit.converged
         assert fit.iterations == 1
 
-
-class TestPerturbationRatio:
-    def test_zero_delta(self):
-        rng = np.random.default_rng(22)
-        X = random_full_rank(rng, 6, 2)
-        lhs, rhs = condition_perturbation_ratio(X, rng.standard_normal(6), [0.0, 0.0])
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_bound_always_holds(self):
-        rng = np.random.default_rng(23)
-        for _ in range(60):
-            X = random_full_rank(rng, 7, 3)
-            y = rng.standard_normal(7)
-            delta = rng.standard_normal(3)
-            lhs, rhs = condition_perturbation_ratio(X, y, delta)
-            assert lhs <= rhs * (1 + 1e-10)
-
-    def test_identity_design_is_tight(self):
-        rng = np.random.default_rng(24)
-        y = rng.standard_normal(5)
-        delta = rng.standard_normal(5)
-        lhs, rhs = condition_perturbation_ratio(np.eye(5), y, delta)
-        assert lhs == pytest.approx(rhs, rel=1e-12)

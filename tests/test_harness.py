@@ -203,7 +203,7 @@ def planted_dataset(n=400, p=3, noise=0.01, seed=0):
     X = rng.standard_normal((n, p)) * [1.0, 2.0, 0.5]
     beta = np.array([0.3, 1.0, -2.0, 0.7])
     y = beta[0] + X @ beta[1:] + noise * rng.standard_normal(n)
-    return Dataset(name="planted", X_raw=X, y=y, column_names=("a", "b", "c"))
+    return Dataset(name="planted", X_raw=X, y=y)
 
 
 class TestRunEmse:
@@ -261,8 +261,7 @@ class TestRunEmse:
         a = rng.standard_normal(3000)
         b = (np.arange(3000) < 2).astype(float)
         y = 1.0 + a + b + 0.1 * rng.standard_normal(3000)
-        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
-                       column_names=("a", "b"))
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         cfg = ExperimentConfig(mode="realdata", n=3001, p=2, r_list=(20,),
                                replicates=3, seed=0, methods=("UNIF", "BLEV"))
         res = run_emse(data, cfg)
@@ -287,8 +286,7 @@ class TestRunEmse:
         a = rng.standard_normal(1000)
         b = (np.arange(1000) < 5).astype(float)
         y = a + b + 0.1 * rng.standard_normal(1000)
-        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
-                       column_names=("a", "b"))
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         cfg = ExperimentConfig(mode="realdata", r_list=(300,), replicates=2,
                                seed=0, methods=("UNIF", "LOWCON"))
         res = run_emse(data, cfg)
@@ -327,8 +325,7 @@ class TestRunEmse:
         a = rng.standard_normal(1000)
         b = (np.arange(1000) < 5).astype(float) if rare else rng.standard_normal(1000)
         y = a + b + 0.1 * rng.standard_normal(1000)
-        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y,
-                       column_names=("a", "b"))
+        data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         calls = []
         for name in ("scale_to_cube", "theta_box"):
             real = getattr(samplers, name)
@@ -344,8 +341,7 @@ class TestRunEmse:
     def test_default_r_grid_from_dataset_p(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((500, 25))
-        data = Dataset(name="wide", X_raw=X, y=X.sum(1) + rng.standard_normal(500),
-                       column_names=tuple(f"x{j}" for j in range(25)))
+        data = Dataset(name="wide", X_raw=X, y=X.sum(1) + rng.standard_normal(500))
         cfg = ExperimentConfig(mode="realdata", replicates=1, methods=("UNIF", "IBOSS"))
         res = run_emse(data, cfg)
         assert sorted({row.r for row in res.rows}) == [50, 100, 150, 200, 250]
@@ -367,8 +363,7 @@ class TestRunEmse:
 
     def test_requires_response(self):
         data = planted_dataset(n=50)
-        data = Dataset(name="x", X_raw=data.X_raw, y=None,
-                       column_names=data.column_names)
+        data = Dataset(name="x", X_raw=data.X_raw, y=None)
         cfg = ExperimentConfig(mode="realdata", n=51, p=3, r_list=(20,),
                                replicates=1, methods=("UNIF",))
         with pytest.raises(ConfigError):

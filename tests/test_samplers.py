@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lowcon import (
+    Box,
     ConstantColumn,
     DegenerateBox,
     InfeasibleDesign,
@@ -38,10 +39,14 @@ class TestScaling:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 3)) * [2.0, 10.0, 0.3] + [5.0, -1.0, 0.0]
-        scaled, spec = scale_to_cube(X)
-        assert scaled.min(axis=0) == pytest.approx([-1.0] * 3)
-        assert scaled.max(axis=0) == pytest.approx([1.0] * 3)
-        assert np.allclose(spec.inverse(scaled), X, atol=1e-12)
+        scaled, box = scale_to_cube(X)
+        assert isinstance(box, Box)
+        assert np.array_equal(box.lower, X.min(axis=0))
+        assert np.array_equal(box.upper, X.max(axis=0))
+        # each entry's share of its column's range, mapped from [0, 1] to [-1, 1]
+        expect = [[(v - min(col)) / (max(col) - min(col)) * 2 - 1 for v in col]
+                  for col in X.T.tolist()]
+        assert np.allclose(scaled, np.array(expect).T, rtol=0.0, atol=1e-14)
 
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumn):
@@ -155,11 +160,14 @@ class TestBlev:
 
 
 class TestSlev:
-    def test_alpha_one_identical_to_blev(self):
-        X = np.random.default_rng(12).standard_normal((25, 2))
-        a = blev(X, 8, np.random.default_rng(13))
-        b = slev(X, 8, np.random.default_rng(13), alpha=1.0)
-        assert np.array_equal(a.indices, b.indices)
+    def test_weights_use_fixed_shrinkage(self):
+        rng = np.random.default_rng(12)
+        n, r = 40, 12
+        X = rng.standard_normal((n, 3)) * [1.0, 4.0, 0.2]
+        sel = slev(X, r, np.random.default_rng(13))
+        h = (np.linalg.qr(X)[0] ** 2).sum(axis=1)  # leverages from a QR factor
+        pi = 0.9 * h / h.sum() + 0.1 / n
+        assert np.allclose(sel.weights, 1.0 / (r * pi[sel.indices]), rtol=1e-12, atol=0.0)
 
     def test_small_alpha_near_uniform(self):
         X = np.random.default_rng(14).standard_normal((25, 2))
@@ -171,11 +179,6 @@ class TestSlev:
         alpha = 0.9
         pi = _leverage_probs(X, alpha=alpha)
         assert np.all(pi >= (1 - alpha) / 40 - 1e-12)
-
-    def test_alpha_validated(self):
-        X = np.random.default_rng(16).standard_normal((10, 2))
-        with pytest.raises(ValueError):
-            slev(X, 4, np.random.default_rng(0), alpha=0.0)
 
 
 class TestLevunw:
@@ -316,7 +319,7 @@ class TestLowcon:
     def test_indices_distinct_and_sized(self):
         X = np.random.default_rng(27).standard_normal((500, 3))
         sel = lowcon(X, 20, rng=np.random.default_rng(28))
-        assert len(sel) == 20
+        assert len(sel.indices) == 20
         assert len(set(sel.indices.tolist())) == 20
         assert sel.weights is None
 
@@ -448,7 +451,7 @@ def _select(method, X, r, theta, rng):
     if method == "BLEV":
         return blev(X, r, rng)
     if method == "SLEV":
-        return slev(X, r, rng, alpha=0.7)
+        return slev(X, r, rng)
     if method == "LEVUNW":
         return levunw(X, r, rng)
     if method == "IBOSS":
