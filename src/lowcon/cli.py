@@ -11,8 +11,9 @@ Exit codes, each failure reported as one line on stderr:
   cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
   p cannot give a nonsingular design
 * 3 data error: ``DataError``, an input or output file that cannot be
-  opened, or, in diagnose, ``DegenerateBox`` when a predictor column leaves
-  a zero-width theta box
+  opened (the output path is checked before the run starts), or, in
+  diagnose, ``DegenerateBox`` when a predictor column leaves a zero-width
+  theta box
 * 4 numerical failure: failed cells, listed by error class with the last
   error's message after the CSV is written, or any other ``LowconError``
 
@@ -55,12 +56,22 @@ EXIT_NUMERICAL = 4
 
 
 def _resolve_out(path: str | None) -> Path | None:
+    """The output path after LOWCON_OUTPUT_DIR, opened for appending so that
+    an unwritable path raises its ``OSError`` before the run starts. An
+    existing file keeps its bytes; a file this check creates is removed."""
     if path is None:
         return None
+    out = Path(path)
     out_dir = os.environ.get("LOWCON_OUTPUT_DIR")
     if out_dir:
-        return Path(out_dir) / Path(path).name
-    return Path(path)
+        out = Path(out_dir) / out.name
+    existed = out.exists()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("a"):
+        pass
+    if not existed:
+        out.unlink()
+    return out
 
 
 def _emit(result, out: Path | None) -> int:
@@ -91,10 +102,10 @@ def _cmd_emse(args) -> int:
     predictors = [c.strip() for c in args.predictors.split(",") if c.strip()]
     if not predictors:
         raise ConfigError("--predictors must name at least one column")
+    out = _resolve_out(args.out or config.output_path)
     dataset = ingest_csv(args.data, args.response, predictors)
     if dataset.dropped_rows:
         print(f"dropped {dataset.dropped_rows} incomplete rows")
-    out = _resolve_out(args.out or config.output_path)
     return _emit(run_emse(dataset, config), out)
 
 
@@ -132,6 +143,8 @@ def _cmd_olhd(args) -> int:
         raise ConfigError(f"olhd needs --p >= 1, got {args.p}")
     if args.r < 2:
         raise ConfigError(f"olhd needs --r >= 2, got {args.r}")
+    if args.seed < 0:
+        raise ConfigError(f"olhd needs --seed >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     design = generate_olhd(args.r, args.p, rng)
     print(f"kappa={design.kappa!r} max_abs_corr={design.max_abs_corr!r}")

@@ -40,32 +40,21 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @staticmethod
-    def unit_cube(p: int) -> "Box":
-        return Box(lower=-np.ones(p), upper=np.ones(p))
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """A set of design points together with its box and quality diagnostics.
+    """Design points with their quality diagnostics.
 
-    ``kappa`` is the condition number of ``points.T @ points`` for the stored
-    (possibly rescaled) points; ``max_abs_corr`` is the largest absolute
-    pairwise Pearson correlation between columns (0.0 when p == 1).
+    The generators return points on the canonical cube [-1, 1]^p, and
+    :func:`rescale_design` maps them into a :class:`Box`. ``kappa`` is the
+    condition number of ``points.T @ points`` for the stored (possibly
+    rescaled) points; ``max_abs_corr`` is the largest absolute pairwise
+    Pearson correlation between columns (0.0 when p == 1).
     """
 
     points: np.ndarray
-    box: Box
     kappa: float
     max_abs_corr: float
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def lhd_levels(r: int) -> np.ndarray:
@@ -83,7 +72,7 @@ def _gram_kappa(G: np.ndarray) -> float:
     return float(ev[-1] / ev[0])
 
 
-def max_abs_correlation(points: np.ndarray) -> float:
+def _max_abs_correlation(points: np.ndarray) -> float:
     """Largest absolute pairwise column correlation; 0.0 for one column."""
     p = points.shape[1]
     if p == 1:
@@ -93,12 +82,11 @@ def max_abs_correlation(points: np.ndarray) -> float:
     return float(off.max())
 
 
-def _make_design(points: np.ndarray, box: Box) -> DesignMatrix:
+def _make_design(points: np.ndarray) -> DesignMatrix:
     return DesignMatrix(
         points=points,
-        box=box,
         kappa=_gram_kappa(points.T @ points),
-        max_abs_corr=max_abs_correlation(points),
+        max_abs_corr=_max_abs_correlation(points),
     )
 
 
@@ -120,7 +108,7 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         raise ValueError("r must be at least 2")
     if p < 1:
         raise ValueError("p must be at least 1")
-    return _make_design(_random_lhd_points(r, p, rng), Box.unit_cube(p))
+    return _make_design(_random_lhd_points(r, p, rng))
 
 
 def _row_sqdist(L: np.ndarray) -> np.ndarray:
@@ -256,21 +244,18 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         if best_kappa <= DEFAULT_KAPPA_TARGET:
             break
     assert best is not None
-    return _make_design(best, Box.unit_cube(p))
+    return _make_design(best)
 
 
 def rescale_design(design: DesignMatrix, box: Box) -> DesignMatrix:
-    """Affinely map a design from its current box onto ``box``, per column.
+    """Affinely map a design on [-1, 1]^p onto ``box``, per column.
 
-    The within-column rank pattern (hence the LHD property) is preserved;
-    kappa and max_abs_corr are recomputed for the mapped points.
+    Column j goes through ``center_j + x * half_j``, the center and half-width
+    of ``box``. The within-column rank pattern (hence the LHD property) is
+    preserved; kappa and max_abs_corr are recomputed for the mapped points.
     """
-    if box.dim != design.dim:
+    if box.lower.shape[0] != design.points.shape[1]:
         raise ValueError("box dimension must match design dimension")
-    src = design.box
-    src_center = (src.lower + src.upper) / 2.0
-    src_half = (src.upper - src.lower) / 2.0
-    unit = (design.points - src_center) / src_half
     center = (box.lower + box.upper) / 2.0
     half = (box.upper - box.lower) / 2.0
-    return _make_design(center + unit * half, box)
+    return _make_design(center + design.points * half)

@@ -473,10 +473,15 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     design-to-sample gap, whether the perturbation assumption holds, and the
     slack of the condition-number and trace-inverse bounds (bound minus the
     directly computed value, in the scaled space where the design lives).
-    The draw is synthetic, so only simulate configs are taken.
+    The draw is synthetic, so only simulate configs are taken. ``alpha`` must
+    be finite and positive and ``sigma2`` finite and nonnegative.
     """
     if config.mode != "simulate":
         raise ConfigError(f"diagnose expects simulate mode, got {config.mode}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"diagnose needs a finite alpha > 0, got {alpha}")
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ConfigError(f"diagnose needs a finite sigma2 >= 0, got {sigma2}")
     r = config.r_list[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     sample = _Prepared(X)

@@ -195,15 +195,13 @@ def lowcon(
     Selection is invariant to per-column positive affine transforms of the
     raw data, since scaling normalizes them away.
 
-    The claim screens every row by its expanded squared distance
-    ``|x|^2 - 2 x.q + |q|^2``, from one GEMM per block of design points, and
-    ranks only the rows within ``tol = 4 (p+3) eps (max|x| + max|q|)^2`` of a
-    point's least score by direct differences ``((x - q)**2).sum()``. Both
-    forms err by at most gamma_{p+3} (|x| + |q|)^2, so the nearest row always
-    passes the screen, and the rows, ties (to the lowest row) and distances
-    are those of a direct-difference scan over all rows (the argument is in
-    ``_claim_nearest``). The claim holds at most 1 MiB of scores plus the n
-    row norms, whatever r is.
+    The claim screens every row by its expanded squared distance, from one
+    GEMM per block of design points, and ranks the rows that pass by direct
+    differences ``((x - q)**2).sum()``. The rows, ties (to the lowest row) and
+    distances are those of a direct-difference scan over all rows;
+    ``_claim_nearest`` gives the screening tolerance and why the nearest row
+    always passes. The claim holds at most 1 MiB of scores plus the n row
+    norms, whatever r is.
     """
     sample = _prepare(X)
     n, p = sample.X.shape

@@ -212,9 +212,11 @@ def test_infeasible_design_exit_code(capsys):
 
 
 @pytest.mark.parametrize("r, p, flag", [("5", "0", "--p"), ("5", "-1", "--p"),
-                                        ("1", "1", "--r"), ("0", "3", "--r")])
+                                        ("1", "1", "--r"), ("0", "3", "--r"),
+                                        ("5", "2", "--seed")])
 def test_olhd_out_of_range_exit_code(r, p, flag, capsys):
-    assert main(["olhd", "--r", r, "--p", p]) == 2
+    seed = "-1" if flag == "--seed" else "0"
+    assert main(["olhd", "--r", r, "--p", p, "--seed", seed]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and flag in err[0]
@@ -292,8 +294,10 @@ def test_emse_r_out_of_range_for_dataset_exit_code(tmp_path, capsys, n_pred, r,
 
 
 def _single_error_line(capsys, prefix):
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
+    return captured
 
 
 def test_config_directory_exit_code(tmp_path, capsys):
@@ -325,4 +329,35 @@ def test_simulate_out_directory_exit_code(sim_config, tmp_path, capsys):
     out = tmp_path / "taken"
     out.mkdir()
     assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 3
-    _single_error_line(capsys, "data error:")
+    # the output path is checked before the grid runs, so no row is printed
+    assert _single_error_line(capsys, "data error:").out == ""
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_check_leaves_no_trace_when_run_fails(tmp_path, capsys, existing):
+    # r=20 on a 10-row dataset passes the config checks and fails in the run
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [np.arange(10.0), np.arange(10.0) ** 2,
+                                       np.sin(np.arange(10.0))])
+    out = tmp_path / "res.csv"
+    if existing:
+        out.write_bytes(b"keep me\r\n")
+    args = _emse_args(tmp_path, data, ["UNIF"]) + ["--out", str(out)]
+    assert main(args) == 2
+    _single_error_line(capsys, "config error:")
+    if existing:
+        assert out.read_bytes() == b"keep me\r\n"
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--alpha", "inf"),
+    ("--sigma2", "-1"), ("--sigma2", "nan"), ("--sigma2", "inf"),
+])
+def test_diagnose_bad_flag_exit_code(sim_config, capsys, flag, value):
+    given = {"--alpha": "1.0", "--sigma2": "1.0", flag: value}
+    assert main(["diagnose", "--config", str(sim_config),
+                 "--alpha", given["--alpha"], "--sigma2", given["--sigma2"]]) == 2
+    captured = _single_error_line(capsys, "config error:")
+    assert flag.lstrip("-") in captured.err and captured.out == ""

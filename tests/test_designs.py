@@ -278,7 +278,7 @@ class TestSwapDescent:
 class TestRescale:
     def test_identity_box_is_noop(self):
         d = generate_olhd(8, 2, np.random.default_rng(12))
-        out = rescale_design(d, Box.unit_cube(2))
+        out = rescale_design(d, Box(lower=[-1.0, -1.0], upper=[1.0, 1.0]))
         assert np.array_equal(out.points, d.points)
 
     def test_unit_interval_endpoints(self):
@@ -286,7 +286,6 @@ class TestRescale:
 
         extremes = DesignMatrix(
             points=np.array([[-1.0], [1.0]]),
-            box=Box.unit_cube(1),
             kappa=1.0,
             max_abs_corr=0.0,
         )

@@ -387,6 +387,29 @@ class TestDiagnose:
         assert low.trace_bound_slack > 0
         assert low.sp_design > low.s1_perturbation
 
+    def test_lowcon_fields_match_eigenvalues(self):
+        cfg = ExperimentConfig(
+            mode="simulate", dist="D1", misspec="H1", n=4000, p=3,
+            r_list=(20,), replicates=1, seed=5, methods=("LOWCON",),
+        )
+        (low,) = diagnose(cfg, alpha=1.0, sigma2=1.0)
+        # the same selection, from diagnose's derived data and sampler seeds
+        X, _, _ = harness._simulate_data(cfg, 20, replicate=0, attempt=0)
+        rng = harness._sampler_rng(cfg.seed, harness._cell_key(cfg), 20, 0, 0, "LOWCON")
+        sel = samplers.lowcon(X, 20, theta=cfg.theta, rng=rng, keep_design=True)
+        assert sel.diagnostics.kappa_sub == low.kappa_sub
+        L, D = sel.design.points, sel.perturbation
+        ev_L = np.linalg.eigvalsh(L.T @ L)
+        ev_D = np.linalg.eigvalsh(D.T @ D)
+        ev_claimed = np.linalg.eigvalsh((L + D).T @ (L + D))
+        s1L, spL, s1D = np.sqrt(ev_L[-1]), np.sqrt(ev_L[0]), np.sqrt(ev_D[-1])
+        assert low.sp_design == pytest.approx(spL, rel=1e-10)
+        assert low.s1_perturbation == pytest.approx(s1D, rel=1e-10)
+        kappa_slack = ((s1L + s1D) / (spL - s1D)) ** 2 - ev_claimed[-1] / ev_claimed[0]
+        trace_slack = 3 / (spL - s1D) ** 2 - np.sum(1.0 / ev_claimed)
+        assert low.kappa_bound_slack == pytest.approx(kappa_slack, rel=1e-10)
+        assert low.trace_bound_slack == pytest.approx(trace_slack, rel=1e-10)
+
 
 class TestCsvIngestion:
     def test_well_formed(self, tmp_path):
