@@ -114,46 +114,80 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
 def _row_sqdist(L: np.ndarray) -> np.ndarray:
     """D2[a, b] = ||L[b] - L[a]||^2, summed column by column from the direct
     differences (not from L @ L.T, whose norms would cancel), one block of
-    ``_SWAP_BLOCK_ROWS`` rows a at a time."""
-    r, p = L.shape
+    ``_SWAP_BLOCK_ROWS`` rows a at a time, in one reused diff buffer."""
+    r = L.shape[0]
     D2 = np.zeros((r, r))
+    diff = np.empty((_SWAP_BLOCK_ROWS, r))
+    Lt = np.ascontiguousarray(L.T)
     for a0 in range(0, r, _SWAP_BLOCK_ROWS):
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
-        for k in range(p):
-            diff = L[None, :, k] - L[a0:a1, None, k]
-            D2[a0:a1] += diff * diff
+        block, out = D2[a0:a1], diff[: a1 - a0]
+        for col in Lt:
+            np.subtract(col, col[a0:a1, None], out=out)
+            np.multiply(out, out, out=out)
+            block += out
     return D2
 
 
+def _swap_scratch(D2: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The scratch of one descent for ``_best_swap``: contiguous vectors x
+    and w of length r, and per row block [a0, a1) the views it scores with,
+    (a0, x_a, x_b, w_a, w_b, D2[a0:a1, a0:], d, t, u). d, t and u are
+    (a1 - a0) x (r - a0) views of three flat buffers of
+    ``_SWAP_BLOCK_ROWS * r`` floats, so each block's scores are contiguous.
+    D2 is only updated in place, so its views stay valid for the whole
+    descent."""
+    r = D2.shape[0]
+    x, w = np.empty(r), np.empty(r)
+    bufs = np.empty((3, _SWAP_BLOCK_ROWS * r))
+    blocks = []
+    for a0 in range(0, r, _SWAP_BLOCK_ROWS):
+        a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
+        shape = (a1 - a0, r - a0)
+        d, t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        blocks.append((a0, x[a0:a1, None], x[None, a0:], w[a0:a1, None],
+                       w[None, a0:], D2[a0:a1, a0:], d, t, u))
+    return x, w, blocks
+
+
 def _best_swap(
-    L: np.ndarray, j: int, G: np.ndarray, D2: np.ndarray
+    L: np.ndarray, j: int, G: np.ndarray, scratch: tuple
 ) -> tuple[int, int, float, float]:
     """The best swap of column j as (a, b, rss_ab, g.g), where rss_ab is the
     off-diagonal sum of squares of Gram row j after swapping L[a, j] and
-    L[b, j] and g.g is its current value. ``G`` is L.T @ L and ``D2`` is
-    ``_row_sqdist(L)``.
+    L[b, j] and g.g is its current value. ``G`` is L.T @ L and ``scratch``
+    is ``_swap_scratch(_row_sqdist(L))``.
 
     Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
     b >= the block's first row. rss is bit-symmetric in (a, b), so the first
     row-major minimum over all r^2 pairs has b >= a and lies in one of the
     blocks; keeping the first strict minimum across blocks returns that
-    pair."""
+    pair. With w = 2 v, the term d_ab (w_b - w_a) is bit-equal to
+    (2 d_ab)(v_b - v_a): doubling is exact in binary floating point, so
+    every score rounds as in ``_descend_correlations``' closed form, exact
+    ties included. The scores go into the scratch buffers, 3 *
+    _SWAP_BLOCK_ROWS * r floats (600 KiB at r = 400); a call allocates only
+    O(r)."""
+    x, w, blocks = scratch
     g = G[j].copy()
     g[j] = 0.0
     gg = g @ g
-    v = L @ g
-    x = L[:, j]
-    r = x.shape[0]
+    x[:] = L[:, j]
+    np.multiply(L @ g, 2.0, out=w)
     best = (0, 0, np.inf)
-    for a0 in range(0, r, _SWAP_BLOCK_ROWS):
-        a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
-        d = x[a0:] - x[a0:a1, None]
-        d2 = d * d
-        rss = gg - 2.0 * d * (v[a0:] - v[a0:a1, None]) + d2 * (D2[a0:a1, a0:] - d2)
-        k = int(np.argmin(rss))
-        da, db = divmod(k, rss.shape[1])
-        if rss[da, db] < best[2]:
-            best = (a0 + da, a0 + db, float(rss[da, db]))
+    for a0, xa, xb, wa, wb, D2ab, d, t, u in blocks:
+        np.subtract(xb, xa, out=d)
+        np.subtract(wb, wa, out=t)
+        np.multiply(d, t, out=u)
+        np.subtract(gg, u, out=u)
+        np.multiply(d, d, out=d)
+        np.subtract(D2ab, d, out=t)
+        np.multiply(d, t, out=t)
+        np.add(u, t, out=u)
+        k = int(u.argmin())
+        da, db = divmod(k, u.shape[1])
+        if u[da, db] < best[2]:
+            best = (a0 + da, a0 + db, float(u[da, db]))
     return (*best, float(gg))
 
 
@@ -177,8 +211,11 @@ def _descend_correlations(
     ``_best_swap`` scores only the pairs b >= a, plus each row block's small
     lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
     call in O(r^2 p); an accepted swap changes only its rows and columns a
-    and b, an O(r) update. Memory is bounded by 8 r^2 bytes for D2 plus
-    O(_SWAP_BLOCK_ROWS * r) for one block of scores or of D2's build."""
+    and b, an O(r) update. The scores are computed as d_ab (w_b - w_a) with
+    w = 2 v, bit-equal to the 2 d_ab (v_b - v_a) above since doubling is
+    exact, into buffers allocated once per call. Memory is bounded by
+    8 r^2 bytes for D2 plus 3 * _SWAP_BLOCK_ROWS * r floats of scratch
+    (600 KiB at r = 400) plus O(r)."""
     p = L.shape[1]
     G = L.T @ L
     kap = _gram_kappa(G)
@@ -186,11 +223,12 @@ def _descend_correlations(
     if kap <= kappa_target or max_swaps <= 0:
         return L, kap, swaps
     D2 = _row_sqdist(L)
+    scratch = _swap_scratch(D2)
     improved = True
     while improved:
         improved = False
         for j in range(p):
-            a, b, rss_ab, gg = _best_swap(L, j, G, D2)
+            a, b, rss_ab, gg = _best_swap(L, j, G, scratch)
             # a no-op (a, a) "swap" scores g.g exactly, so it can never pass
             # this test and keep a sweep at a local optimum from ending.
             if rss_ab < gg - 1e-15:

@@ -105,7 +105,8 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
     The maximizer is h_star = alpha * sqrt(tr(X'X)) * u_p, where u_p is the
     left singular direction for the smallest singular value (sign fixed so
     the first non-negligible entry is positive); plugging h_star into
-    :func:`mse_decompose` recovers the bound exactly.
+    :func:`mse_decompose` recovers the bound exactly. A bound past the float
+    range is ``inf``, and ``h_star`` then overflows quietly too.
     """
     X_sub = _as_matrix(X_sub)
     if alpha <= 0:
@@ -114,12 +115,16 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
         raise ValueError("sigma2 must be nonnegative")
     u, s, _ = _svd_full_rank(X_sub, "worst_case_mse")
     trace = float(np.sum(s**2))
-    bound = float(sigma2 * np.sum(1.0 / s**2) + alpha**2 * trace / s[-1] ** 2)
     direction = u[:, -1]
     nz = np.nonzero(np.abs(direction) > 1e-12 * np.abs(direction).max())[0]
     if nz.size and direction[nz[0]] < 0:
         direction = -direction
-    h_star = alpha * np.sqrt(trace) * direction
+    # numpy scalars overflow to inf where Python floats raise; inf * 0 in
+    # h_star's zero entries is nan
+    alpha = np.float64(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(sigma2 * np.sum(1.0 / s**2) + alpha**2 * trace / s[-1] ** 2)
+        h_star = alpha * np.sqrt(trace) * direction
     return WorstCase(bound=bound, h_star=h_star)
 
 

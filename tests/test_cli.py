@@ -361,3 +361,13 @@ def test_diagnose_bad_flag_exit_code(sim_config, capsys, flag, value):
                  "--alpha", given["--alpha"], "--sigma2", given["--sigma2"]]) == 2
     captured = _single_error_line(capsys, "config error:")
     assert flag.lstrip("-") in captured.err and captured.out == ""
+
+
+def test_diagnose_huge_alpha_prints_inf_bound(sim_config, capsys):
+    # alpha**2 is past the float range: the bound is inf, not a traceback
+    assert main(["diagnose", "--config", str(sim_config),
+                 "--alpha", "1e200", "--sigma2", "1"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 2 and captured.err == ""
+    assert all("worst_case=inf" in line.split() for line in lines)

@@ -16,6 +16,7 @@ from lowcon.designs import (
     _best_swap,
     _descend_correlations,
     _row_sqdist,
+    _swap_scratch,
 )
 
 
@@ -200,7 +201,7 @@ class TestSwapDescent:
             G, D2 = L.T @ L, _row_sqdist(L)
             for j in range(p):
                 exact = _exact_swap_rss(L, j)
-                a, b, rss_ab, gg = _best_swap(L, j, G, D2)
+                a, b, rss_ab, gg = _best_swap(L, j, G, _swap_scratch(D2))
                 assert exact[a, b] == exact.min() and b >= a
                 minimizers = np.argwhere(exact == exact.min())
                 if len(minimizers) > 2:  # more than the pair and its mirror
@@ -220,16 +221,24 @@ class TestSwapDescent:
         # with one column every swap leaves the empty off-diagonal empty, so
         # all r^2 scores are exactly 0 and the first row-major pair wins
         L = generate_lhd(130, 1, np.random.default_rng(34)).points
-        assert _best_swap(L, 0, L.T @ L, _row_sqdist(L)) == (0, 0, 0.0, 0.0)
+        scratch = _swap_scratch(_row_sqdist(L))
+        assert _best_swap(L, 0, L.T @ L, scratch) == (0, 0, 0.0, 0.0)
 
     @pytest.mark.parametrize("r, p, seeds", [(20, 3, 100), (30, 2, 100),
-                                             (130, 2, 10), (100, 5, 10)])
+                                             (130, 2, 10), (100, 5, 10),
+                                             (400, 20, 2)])
     def test_designs_match_whole_matrix_descent(self, r, p, seeds):
-        # small p meets exact ties; r > 64 spans several row blocks
+        # small p meets exact ties; r > 64 spans several row blocks; (400, 20)
+        # is the benchmark's large-budget shape, seven blocks
         for seed in range(seeds):
             got = generate_olhd(r, p, np.random.default_rng(seed)).points
             want = _reference_olhd(r, p, np.random.default_rng(seed))
             assert np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("r, p", [(130, 7), (400, 20)])
+    def test_row_sqdist_matches_whole_matrix(self, r, p):
+        L = generate_lhd(r, p, np.random.default_rng(r + p)).points
+        assert np.array_equal(_row_sqdist(L), _full_sqdist(L))
 
     @pytest.mark.parametrize("r, p", [(12, 2), (15, 3), (20, 5)])
     def test_descent_ends_at_local_optimum(self, r, p):

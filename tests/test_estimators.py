@@ -157,6 +157,14 @@ class TestWorstCase:
         wc = worst_case_mse(2.0 * q, sigma2=0.0, alpha=alpha)
         assert wc.bound == pytest.approx(alpha**2 * 3, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [1e200, 1e308])
+    def test_bound_past_float_range_is_inf(self, alpha):
+        # alpha**2 overflows; the sigma2 term stays finite
+        X = random_full_rank(np.random.default_rng(13), 6, 2)
+        wc = worst_case_mse(X, sigma2=1.0, alpha=alpha)
+        assert wc.bound == np.inf
+        assert wc.h_star.shape == (6,) and not np.any(np.isnan(wc.h_star))
+
     def test_matches_eigen_maximization_oracle(self):
         # independent route: explicit Q'Q spectrum gives the max of h'Q'Qh
         # over the admissible sphere
