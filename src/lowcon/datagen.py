@@ -146,7 +146,7 @@ def gen_response(
     beta0 = np.asarray(beta0, dtype=np.float64).reshape(-1)
     if beta0.shape[0] != X.shape[1]:
         raise ValueError("beta0 length must match the number of columns")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     h = misspec_values(misspec.kind, X, misspec.constant)
     return X @ beta0 + h + np.sqrt(sigma2) * rng.standard_normal(X.shape[0])

@@ -85,7 +85,7 @@ def mse_decompose(X_sub, h_sub, sigma2: float) -> MseReport:
     solve of h against X.
     """
     X_sub = _as_matrix(X_sub)
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     h = np.asarray(h_sub, dtype=np.float64).reshape(-1)
     if h.shape[0] != X_sub.shape[0]:
@@ -109,9 +109,9 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
     range is ``inf``, and ``h_star`` then overflows quietly too.
     """
     X_sub = _as_matrix(X_sub)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     u, s, _ = _svd_full_rank(X_sub, "worst_case_mse")
     trace = float(np.sum(s**2))
@@ -129,32 +129,39 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
 
 
 def _extreme_singulars(L, D) -> tuple[float, float, float]:
+    """(s_1(L), s_p(L), s_1(D)) from one SVD of each; tests no assumption."""
     L = _as_matrix(L)
     D = _as_matrix(D)
     if L.shape != D.shape:
         raise ValueError("L and D must have equal shape")
     sL = np.linalg.svd(L, compute_uv=False)
     s1D = float(np.linalg.svd(D, compute_uv=False)[0])
-    spL = float(sL[-1])
+    return float(sL[0]), float(sL[-1]), s1D
+
+
+def _perturbation_bounds(s1L: float, spL: float, s1D: float, p: int) -> tuple[float, float]:
+    """The (kappa, trace-inverse) bounds for L + D from its extreme singular
+    values; see :func:`weyl_kappa_bound` and :func:`trace_inv_bound`. Holds
+    the package's one test of s_p(L) > s_1(D), raising ``AssumptionViolated``
+    where it fails. A bound past the float range is ``inf``."""
     if spL <= s1D:
         raise AssumptionViolated(
             f"requires s_p(L) > s_1(D), got s_p(L)={spL:.6g}, s_1(D)={s1D:.6g}"
         )
-    return float(sL[0]), spL, s1D
+    gap = np.float64(spL) - s1D  # numpy scalars overflow to inf where floats raise
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(((s1L + s1D) / gap) ** 2), float(p / gap**2)
 
 
 def weyl_kappa_bound(L, D) -> float:
     """Upper bound on kappa((L+D)'(L+D)) from the extreme singular values:
     ((s_1(L) + s_1(D)) / (s_p(L) - s_1(D)))**2. Requires s_p(L) > s_1(D)."""
-    s1L, spL, s1D = _extreme_singulars(L, D)
-    return ((s1L + s1D) / (spL - s1D)) ** 2
+    return _perturbation_bounds(*_extreme_singulars(L, D), np.shape(L)[1])[0]
 
 
 def trace_inv_bound(L, D) -> float:
     """Upper bound on tr[((L+D)'(L+D))^{-1}]: p / (s_p(L) - s_1(D))**2."""
-    _, spL, s1D = _extreme_singulars(L, D)
-    p = np.asarray(L).shape[1]
-    return p / (spL - s1D) ** 2
+    return _perturbation_bounds(*_extreme_singulars(L, D), np.shape(L)[1])[1]
 
 
 def design_mse_bound(L, sigma2: float, alpha: float) -> float:
@@ -167,7 +174,7 @@ def design_mse_bound(L, sigma2: float, alpha: float) -> float:
     use :func:`weyl_kappa_bound` and :func:`trace_inv_bound` instead.
     """
     L = _as_matrix(L)
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
     s = np.linalg.svd(L, compute_uv=False)
     _require_full_rank(s, L.shape[0], L.shape[1], "design_mse_bound")

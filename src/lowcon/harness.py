@@ -2,12 +2,14 @@
 
 Runs the misspecified-model simulation grid, the one-predictor toy study,
 the real-data empirical-MSE protocol, and a diagnostics pass that surfaces
-the theory bound checkers. Responses live behind :class:`HiddenResponses`,
-which counts every revealed entry: estimators see exactly the r selected
-responses per replicate, mirroring the measurement-constrained setting.
+the theory bound checkers of ``estimators``. Responses live behind
+:class:`HiddenResponses`, which counts every revealed entry: estimators see
+exactly the r selected responses per replicate, mirroring the
+measurement-constrained setting.
 
 The grid, the toy study and the empirical-MSE protocol share one cell
-runner, ``_run_cells``, which selects, reveals, fits and scores. A
+runner, ``_run_cells``, which selects, reveals, fits and scores; it and
+``diagnose`` select through one dispatch, ``_draw_selection``. A
 rank-deficient fit is redrawn with a derived retry seed, at most five times;
 any other package error recurs on the same data, so it is not retried. A
 cell that still fails gets NaN mse and is listed in ``failed_cells``.
@@ -38,13 +40,14 @@ import numpy as np
 from . import datagen
 from .datagen import DISTRIBUTIONS, MISSPECIFICATIONS, beta_layout
 from .estimators import (
+    _extreme_singulars,
+    _perturbation_bounds,
     fit_huber_m,
     fit_sls,
-    trace_inv_bound,
-    weyl_kappa_bound,
     worst_case_mse,
 )
 from .exceptions import (
+    AssumptionViolated,
     ColumnMissing,
     ConfigError,
     DataError,
@@ -257,7 +260,7 @@ class SimulationResult:
         raise KeyError((method, r, misspec))
 
 
-def derived_rng(seed: int, *key: int) -> np.random.Generator:
+def _derived_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, structural key)."""
     spawn_key = tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
@@ -270,7 +273,7 @@ def _cell_key(config: ExperimentConfig) -> tuple[int, int]:
 
 def _sampler_rng(seed, key, r, replicate, attempt, method) -> np.random.Generator:
     """The sampler stream of one (cell, r, replicate, attempt, method)."""
-    return derived_rng(seed, _P_SAMPLER, *key, r, replicate, attempt, _METHOD_CODE[method])
+    return _derived_rng(seed, _P_SAMPLER, *key, r, replicate, attempt, _METHOD_CODE[method])
 
 
 def _draw_selection(method, X, r, rng, config: ExperimentConfig):
@@ -285,13 +288,13 @@ def _draw_selection(method, X, r, rng, config: ExperimentConfig):
     if method == "IBOSS":
         return iboss(X, r)
     if method == "LOWCON":
-        return lowcon(X, r, theta=config.theta, rng=rng)
+        return lowcon(X, r, theta=config.theta, rng=rng, keep_design=True)
     raise ConfigError(f"unknown method {method!r}")
 
 
 def _simulate_data(config: ExperimentConfig, r: int, replicate: int, attempt: int):
     """Fresh predictors, calibrated shape term, and hidden responses."""
-    rng = derived_rng(config.seed, _P_DATA, *_cell_key(config), r, replicate, attempt)
+    rng = _derived_rng(config.seed, _P_DATA, *_cell_key(config), r, replicate, attempt)
     if config.mode == "toy":
         x, y = datagen.toy_example(config.n, rng, noise_sd=float(np.sqrt(config.sigma2)))
         return x[:, None], np.array([1.0]), y
@@ -467,12 +470,13 @@ class DiagnoseEntry:
 def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[DiagnoseEntry]:
     """One seeded pass surfacing the theory checkers for each method.
 
-    Reports the selection's condition number and worst-case MSE bound at the
-    supplied (sigma2, alpha). For the design-anchored method it additionally
-    reports the extreme singular values of the design and of the
-    design-to-sample gap, whether the perturbation assumption holds, and the
-    slack of the condition-number and trace-inverse bounds (bound minus the
-    directly computed value, in the scaled space where the design lives).
+    Reports the condition number of each method's selection, drawn as in the
+    grid, and its worst-case MSE bound at the supplied (sigma2, alpha). For a
+    selection that keeps its design (LOWCON) it also reports the extreme
+    singular values of the design and of the design-to-sample gap, whether
+    the perturbation assumption holds, and the slack of the condition-number
+    and trace-inverse bounds (bound minus the directly computed value, in the
+    scaled space where the design lives), all by the rules of ``estimators``.
     The draw is synthetic, so only simulate configs are taken. ``alpha`` must
     be finite and positive and ``sigma2`` finite and nonnegative.
     """
@@ -488,35 +492,25 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
     entries: list[DiagnoseEntry] = []
     for m in config.methods:
         rng = _sampler_rng(config.seed, _cell_key(config), r, 0, 0, m)
-        if m == "LOWCON":
-            sel = lowcon(sample, r, theta=config.theta, rng=rng, keep_design=True)
-        else:
-            sel = _draw_selection(m, sample, r, rng, config)
-        bound = worst_case_mse(X[sel.indices], sigma2, alpha).bound
-        if m != "LOWCON":
-            entries.append(DiagnoseEntry(
-                method=m, r=r, kappa_sub=sel.diagnostics.kappa_sub,
-                worst_case_bound=bound,
-            ))
-            continue
-        L = sel.design.points
-        D = sel.perturbation
-        sL = singular_values(L)
-        s1D = float(singular_values(D)[0])
-        claimed = L + D
-        s_claimed = singular_values(claimed)
-        kappa_actual = float((s_claimed[0] / s_claimed[-1]) ** 2)
-        trace_actual = float(np.sum(1.0 / s_claimed**2))
-        holds = float(sL[-1]) > s1D
-        kappa_slack = trace_slack = None
-        if holds:
-            kappa_slack = weyl_kappa_bound(L, D) - kappa_actual
-            trace_slack = trace_inv_bound(L, D) - trace_actual
+        sel = _draw_selection(m, sample, r, rng, config)
+        fields = {}
+        if sel.design is not None:
+            L, D = sel.design.points, sel.perturbation
+            s1L, spL, s1D = _extreme_singulars(L, D)
+            fields = dict(s1_perturbation=s1D, sp_design=spL, assumption_holds=False)
+            try:
+                kappa_bound, trace_bound = _perturbation_bounds(s1L, spL, s1D, L.shape[1])
+            except AssumptionViolated:
+                pass
+            else:
+                s = singular_values(L + D)
+                fields.update(assumption_holds=True,
+                              kappa_bound_slack=kappa_bound - float((s[0] / s[-1]) ** 2),
+                              trace_bound_slack=trace_bound - float(np.sum(1.0 / s**2)))
         entries.append(DiagnoseEntry(
             method=m, r=r, kappa_sub=sel.diagnostics.kappa_sub,
-            worst_case_bound=bound, s1_perturbation=s1D,
-            sp_design=float(sL[-1]), assumption_holds=holds,
-            kappa_bound_slack=kappa_slack, trace_bound_slack=trace_slack,
+            worst_case_bound=worst_case_mse(X[sel.indices], sigma2, alpha).bound,
+            **fields,
         ))
     return entries
 

@@ -119,23 +119,26 @@ def test_toy_prints_three_methods(capsys):
 
 
 def test_diagnose_prints_assumption(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "mode": "simulate",
-        "dist": "D1",
-        "misspec": "H1",
-        "n": 2000,
-        "p": 3,
-        "r_list": [15],
-        "replicates": 1,
-        "seed": 6,
-        "methods": ["UNIF", "LOWCON"],
-    }))
-    code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0",
-                 "--sigma2", "1.0"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "worst_case" in out and "assumption" in out
+    holds = {"n": 2000, "p": 3, "r_list": [15], "seed": 6}
+    violated = {"n": 30, "p": 8, "r_list": [25], "seed": 0, "theta": 0.0}
+    for grid, expected in ((holds, "assumption=ok"), (violated, "assumption=violated")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "simulate",
+            "dist": "D1",
+            "misspec": "H1",
+            **grid,
+            "replicates": 1,
+            "methods": ["UNIF", "LOWCON"],
+        }))
+        code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0",
+                     "--sigma2", "1.0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "worst_case" in out
+        (low,) = [line for line in out.splitlines() if line.startswith("LOWCON")]
+        assert expected in low
+        assert ("kappa_slack=" in low) is (expected == "assumption=ok")
 
 
 def test_diagnose_rejects_realdata_config(tmp_path, capsys):

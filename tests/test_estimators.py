@@ -3,9 +3,11 @@ import pytest
 
 from lowcon import (
     AssumptionViolated,
+    MisspecTerm,
     RankDeficient,
     fit_huber_m,
     fit_sls,
+    gen_response,
     generate_olhd,
     least_squares,
     mse_decompose,
@@ -22,6 +24,24 @@ def random_full_rank(rng, r, p, scale=1.0):
         X = scale * rng.standard_normal((r, p))
         if np.linalg.matrix_rank(X) == p:
             return X
+
+
+_X3 = np.eye(3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: mse_decompose(_X3, np.zeros(3), sigma2=v), "sigma2"),
+    (lambda v: worst_case_mse(_X3, sigma2=v, alpha=1.0), "sigma2"),
+    (lambda v: worst_case_mse(_X3, sigma2=1.0, alpha=v), "alpha"),
+    (lambda v: design_mse_bound(_X3, sigma2=v, alpha=1.0), "sigma2"),
+    (lambda v: gen_response(_X3, np.ones(3), MisspecTerm("H1", 0.0), v,
+                            np.random.default_rng(0)), "sigma2"),
+], ids=["mse_decompose", "worst_case_sigma2", "worst_case_alpha",
+        "design_mse_bound", "gen_response"])
+def test_range_checks_reject_nan_and_negative(call, message, bad):
+    with pytest.raises(ValueError, match=message):
+        call(bad)
 
 
 class TestFitSls:
@@ -213,6 +233,11 @@ class TestPerturbationBounds:
         assert trace_inv_bound(L, D) == pytest.approx(4.0)
         M = L + D
         assert np.sum(1.0 / np.linalg.svd(M, compute_uv=False) ** 2) == pytest.approx(0.8)
+
+    def test_bound_past_float_range_is_inf(self):
+        L = 1e-170 * np.eye(3)  # s_p(L)**2 underflows to zero
+        assert weyl_kappa_bound(L, np.zeros_like(L)) == pytest.approx(1.0)
+        assert trace_inv_bound(L, np.zeros_like(L)) == np.inf
 
     def test_orthonormal_zero_perturbation_trace(self):
         q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((6, 3)))

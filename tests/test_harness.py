@@ -372,20 +372,32 @@ class TestRunEmse:
 
 class TestDiagnose:
     def test_report_fields(self):
-        cfg = ExperimentConfig(
+        holds = ExperimentConfig(
             mode="simulate", dist="D1", misspec="H1", n=4000, p=3,
             r_list=(20,), replicates=1, seed=5,
             methods=("UNIF", "IBOSS", "LOWCON"),
         )
-        entries = diagnose(cfg, alpha=1.0, sigma2=1.0)
-        assert [e.method for e in entries] == ["UNIF", "IBOSS", "LOWCON"]
-        for e in entries:
-            assert np.isfinite(e.kappa_sub) and np.isfinite(e.worst_case_bound)
-        low = entries[-1]
-        assert low.assumption_holds
-        assert low.kappa_bound_slack > 0
-        assert low.trace_bound_slack > 0
-        assert low.sp_design > low.s1_perturbation
+        # 25 of 30 rows, no trimming: sp(L) = 2.798 < s1(D) = 3.343
+        violated = ExperimentConfig(
+            mode="simulate", dist="D1", misspec="H1", n=30, p=8,
+            r_list=(25,), replicates=1, seed=0, theta=0.0,
+            methods=("UNIF", "LOWCON"),
+        )
+        for cfg, expect_holds in ((holds, True), (violated, False)):
+            entries = diagnose(cfg, alpha=1.0, sigma2=1.0)
+            assert [e.method for e in entries] == list(cfg.methods)
+            for e in entries:
+                assert np.isfinite(e.kappa_sub) and np.isfinite(e.worst_case_bound)
+            assert all(e.assumption_holds is None for e in entries[:-1])
+            low = entries[-1]
+            assert low.assumption_holds is expect_holds
+            assert (low.sp_design > low.s1_perturbation) is expect_holds
+            if expect_holds:
+                assert low.kappa_bound_slack > 0
+                assert low.trace_bound_slack > 0
+            else:
+                assert low.kappa_bound_slack is None
+                assert low.trace_bound_slack is None
 
     def test_lowcon_fields_match_eigenvalues(self):
         cfg = ExperimentConfig(
