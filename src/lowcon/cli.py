@@ -9,7 +9,8 @@ Exit codes, each failure reported as one line on stderr:
 * 0 success
 * 2 configuration error: ``ConfigError``, including a config file that
   cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
-  p cannot give a nonsingular design
+  p cannot give a nonsingular design or the OLHD descent would need more
+  than 2 GiB (8 r^2 bytes, so r > 16384)
 * 3 data error: ``DataError``, an input or output file that cannot be
   opened (the output path is checked before the run starts), or, in
   diagnose, ``DegenerateBox`` when a predictor column leaves a zero-width

@@ -19,6 +19,7 @@ DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
 _SWAPS_PER_ENTRY = 200  # the descent's swap cap is this many per entry of L
 _SWAP_BLOCK_ROWS = 64  # rows a per block of swap scores and of D2's build
+_MAX_D2_BYTES = 2 * 2**30  # the descent's r x r D2 may take this much: r <= 16384
 
 
 @dataclass(frozen=True)
@@ -43,18 +44,30 @@ class Box:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Design points with their quality diagnostics.
+    """Design points; their quality diagnostics are derived when read.
 
     The generators return points on the canonical cube [-1, 1]^p, and
-    :func:`rescale_design` maps them into a :class:`Box`. ``kappa`` is the
-    condition number of ``points.T @ points`` for the stored (possibly
-    rescaled) points; ``max_abs_corr`` is the largest absolute pairwise
-    Pearson correlation between columns (0.0 when p == 1).
+    :func:`rescale_design` maps them into a :class:`Box`. ``kappa`` and
+    ``max_abs_corr`` are computed from the stored (possibly rescaled) points
+    on each read, so nothing on the selection path pays for them.
     """
 
     points: np.ndarray
-    kappa: float
-    max_abs_corr: float
+
+    @property
+    def kappa(self) -> float:
+        """Condition number of ``points.T @ points``."""
+        return _gram_kappa(self.points.T @ self.points)
+
+    @property
+    def max_abs_corr(self) -> float:
+        """Largest absolute pairwise Pearson correlation between columns;
+        0.0 for one column."""
+        p = self.points.shape[1]
+        if p == 1:
+            return 0.0
+        C = np.corrcoef(self.points, rowvar=False)
+        return float(np.abs(C - np.eye(p)).max())
 
 
 def lhd_levels(r: int) -> np.ndarray:
@@ -70,24 +83,6 @@ def _gram_kappa(G: np.ndarray) -> float:
     if ev[0] <= 0.0:
         return np.inf
     return float(ev[-1] / ev[0])
-
-
-def _max_abs_correlation(points: np.ndarray) -> float:
-    """Largest absolute pairwise column correlation; 0.0 for one column."""
-    p = points.shape[1]
-    if p == 1:
-        return 0.0
-    C = np.corrcoef(points, rowvar=False)
-    off = np.abs(C - np.eye(p))
-    return float(off.max())
-
-
-def _make_design(points: np.ndarray) -> DesignMatrix:
-    return DesignMatrix(
-        points=points,
-        kappa=_gram_kappa(points.T @ points),
-        max_abs_corr=_max_abs_correlation(points),
-    )
 
 
 def _random_lhd_points(r: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,7 +103,7 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         raise ValueError("r must be at least 2")
     if p < 1:
         raise ValueError("p must be at least 1")
-    return _make_design(_random_lhd_points(r, p, rng))
+    return DesignMatrix(_random_lhd_points(r, p, rng))
 
 
 def _row_sqdist(L: np.ndarray) -> np.ndarray:
@@ -215,13 +210,22 @@ def _descend_correlations(
     w = 2 v, bit-equal to the 2 d_ab (v_b - v_a) above since doubling is
     exact, into buffers allocated once per call. Memory is bounded by
     8 r^2 bytes for D2 plus 3 * _SWAP_BLOCK_ROWS * r floats of scratch
-    (600 KiB at r = 400) plus O(r)."""
+    (600 KiB at r = 400) plus O(r). A start that needs a descent raises
+    ``InfeasibleDesign`` before D2 is allocated when 8 r^2 exceeds
+    ``_MAX_D2_BYTES`` (2 GiB, i.e. r > 16384); a start already at the target
+    returns first, whatever r is."""
     p = L.shape[1]
     G = L.T @ L
     kap = _gram_kappa(G)
     swaps = 0
     if kap <= kappa_target or max_swaps <= 0:
         return L, kap, swaps
+    r = L.shape[0]
+    if 8 * r * r > _MAX_D2_BYTES:
+        raise InfeasibleDesign(
+            f"r={r}, p={p}: the OLHD descent needs {8 * r * r} bytes for its "
+            f"{r}x{r} distance matrix, past the bound of {_MAX_D2_BYTES} bytes"
+        )
     D2 = _row_sqdist(L)
     scratch = _swap_scratch(D2)
     improved = True
@@ -264,7 +268,8 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     InfeasibleDesign
         When r <= p: the level set sums to zero, so the columns plus the
         all-ones vector are linearly dependent and L.T @ L is singular for
-        every permutation.
+        every permutation. Also when a start misses the target and its
+        descent would need an r x r distance matrix past 2 GiB (r > 16384).
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -282,7 +287,7 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         if best_kappa <= DEFAULT_KAPPA_TARGET:
             break
     assert best is not None
-    return _make_design(best)
+    return DesignMatrix(best)
 
 
 def rescale_design(design: DesignMatrix, box: Box) -> DesignMatrix:
@@ -290,10 +295,10 @@ def rescale_design(design: DesignMatrix, box: Box) -> DesignMatrix:
 
     Column j goes through ``center_j + x * half_j``, the center and half-width
     of ``box``. The within-column rank pattern (hence the LHD property) is
-    preserved; kappa and max_abs_corr are recomputed for the mapped points.
+    preserved; kappa and max_abs_corr are read from the mapped points.
     """
     if box.lower.shape[0] != design.points.shape[1]:
         raise ValueError("box dimension must match design dimension")
     center = (box.lower + box.upper) / 2.0
     half = (box.upper - box.lower) / 2.0
-    return _make_design(center + design.points * half)
+    return DesignMatrix(center + design.points * half)

@@ -176,6 +176,8 @@ def design_mse_bound(L, sigma2: float, alpha: float) -> float:
     L = _as_matrix(L)
     if not sigma2 >= 0:
         raise ValueError("sigma2 must be nonnegative")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     s = np.linalg.svd(L, compute_uv=False)
     _require_full_rank(s, L.shape[0], L.shape[1], "design_mse_bound")
     p = L.shape[1]

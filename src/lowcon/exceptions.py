@@ -10,7 +10,8 @@ class RankDeficient(LowconError):
 
 
 class InfeasibleDesign(LowconError):
-    """Requested design cannot have a nonsingular information matrix."""
+    """Requested design cannot have a nonsingular information matrix, or its
+    OLHD descent would need an r x r distance matrix past 2 GiB (r > 16384)."""
 
 
 class ConstantColumn(LowconError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lowcon import designs
 from lowcon.cli import main
 
 
@@ -212,6 +213,15 @@ def test_toy_config_naming_other_data_exit_code(tmp_path, capsys):
 def test_infeasible_design_exit_code(capsys):
     assert main(["olhd", "--r", "3", "--p", "5"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_descent_past_memory_bound_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(designs, "_MAX_D2_BYTES", 8 * 40 * 40 - 1)
+    assert main(["olhd", "--r", "40", "--p", "10"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "r=40" in err[0]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("r, p, flag", [("5", "0", "--p"), ("5", "-1", "--p"),

@@ -6,6 +6,7 @@ import pytest
 from lowcon import (
     Box,
     InfeasibleDesign,
+    designs,
     generate_lhd,
     generate_olhd,
     lhd_levels,
@@ -283,6 +284,16 @@ class TestSwapDescent:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_distance_matrix_past_the_bound_raises(self, monkeypatch):
+        # 8 * 40^2 = 12800 bytes; the real bound is never allocated here
+        monkeypatch.setattr(designs, "_MAX_D2_BYTES", 8 * 40 * 40 - 1)
+        with pytest.raises(InfeasibleDesign, match=r"r=40, p=10: .* 12800 bytes"):
+            generate_olhd(40, 10, np.random.default_rng(53))
+        # p = 1 has kappa 1 and never descends; nor does a start at the target
+        assert generate_olhd(50, 1, np.random.default_rng(54)).kappa == 1.0
+        L = generate_lhd(40, 10, np.random.default_rng(55)).points
+        assert _descend_correlations(L, np.inf, 10)[2] == 0
+
 
 class TestRescale:
     def test_identity_box_is_noop(self):
@@ -293,11 +304,7 @@ class TestRescale:
     def test_unit_interval_endpoints(self):
         from lowcon import DesignMatrix
 
-        extremes = DesignMatrix(
-            points=np.array([[-1.0], [1.0]]),
-            kappa=1.0,
-            max_abs_corr=0.0,
-        )
+        extremes = DesignMatrix(points=np.array([[-1.0], [1.0]]))
         out = rescale_design(extremes, Box(lower=[0.0], upper=[1.0]))
         assert out.points[0, 0] == 0.0
         assert out.points[1, 0] == 1.0

@@ -35,10 +35,11 @@ _X3 = np.eye(3)
     (lambda v: worst_case_mse(_X3, sigma2=v, alpha=1.0), "sigma2"),
     (lambda v: worst_case_mse(_X3, sigma2=1.0, alpha=v), "alpha"),
     (lambda v: design_mse_bound(_X3, sigma2=v, alpha=1.0), "sigma2"),
+    (lambda v: design_mse_bound(_X3, sigma2=1.0, alpha=v), "alpha"),
     (lambda v: gen_response(_X3, np.ones(3), MisspecTerm("H1", 0.0), v,
                             np.random.default_rng(0)), "sigma2"),
 ], ids=["mse_decompose", "worst_case_sigma2", "worst_case_alpha",
-        "design_mse_bound", "gen_response"])
+        "design_mse_bound", "design_mse_bound_alpha", "gen_response"])
 def test_range_checks_reject_nan_and_negative(call, message, bad):
     with pytest.raises(ValueError, match=message):
         call(bad)

@@ -500,3 +500,18 @@ def test_leverage_svd_once_per_sample(monkeypatch):
     assert len(inputs) == 1 and np.array_equal(inputs[0], X)
     blev(X, 20, np.random.default_rng(0))  # a raw matrix gets its own sample
     assert len(inputs) == 2
+
+
+def test_lowcon_computes_no_design_metric(monkeypatch):
+    X = np.random.default_rng(63).standard_normal((500, 4))
+    corrcoef, calls = np.corrcoef, []
+
+    def counting_corrcoef(*args, **kwargs):
+        calls.append(1)
+        return corrcoef(*args, **kwargs)
+
+    monkeypatch.setattr(np, "corrcoef", counting_corrcoef)
+    sel = lowcon(X, 30, rng=np.random.default_rng(64), keep_design=True)
+    assert calls == []
+    assert 0.0 <= sel.design.max_abs_corr < 1.0  # a read computes it
+    assert len(calls) == 1
