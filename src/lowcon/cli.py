@@ -6,7 +6,8 @@ of a simulate config), and olhd (print a low-correlation design).
 
 Exit codes, each failure reported as one line on stderr:
 
-* 0 success
+* 0 success, also when the reader of stdout closes it early (``| head``):
+  the rest of the output is discarded and nothing goes to stderr
 * 2 configuration error: ``ConfigError``, including a config file that
   cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
   p cannot give a nonsingular design or the OLHD descent would need more
@@ -200,7 +201,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); the interpreter's last
+        # flush then writes to devnull and stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, InfeasibleDesign) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -31,6 +31,7 @@ import csv
 import dataclasses
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -519,37 +520,68 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
 # file formats
 
 
+def _read_rows(fh, at: list[int]) -> tuple[np.ndarray, int]:
+    """The columns ``at`` of the rows after the header, and how many short or
+    non-numeric rows were dropped. ``np.loadtxt`` raises on any such row;
+    only then is the file parsed again record by record."""
+    try:
+        with warnings.catch_warnings():  # a file with no rows is the caller's error
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                              usecols=at, ndmin=2), 0
+    except ValueError:
+        pass
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)  # the header
+    rows: list[list[float]] = []
+    dropped = 0
+    for record in filter(None, reader):  # a blank line is no row
+        try:
+            rows.append([float(record[j]) for j in at])
+        except (IndexError, ValueError):  # a short row or a non-number
+            dropped += 1
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(at)), dropped
+
+
 def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     """Read a numeric dataset from CSV, dropping incomplete rows.
 
-    Rows where any selected column is missing or fails to parse as a number
-    are dropped; the count of dropped rows is kept on the Dataset. Column
-    order follows ``predictor_columns``. A file that cannot be opened raises
-    its ``OSError``; one that cannot be decoded raises ``DataError``.
+    The header names the columns, with the ``csv`` module's quoting rules;
+    a repeated name means its last column. Column order follows
+    ``predictor_columns``. The data rows follow these rules:
+
+    * a row that is short of a selected column, or has a selected value
+      that is not a number, is dropped and counted;
+    * a row with a non-finite selected value (``nan``, ``inf``, or a value
+      past the float range such as ``1e400``) is dropped and counted;
+    * a long row keeps its selected columns;
+    * a blank line is not a row.
+
+    The count is ``Dataset.dropped_rows``. A file with no short or
+    non-numeric row is parsed in one vectorised pass (``np.loadtxt``); a
+    file with one is parsed again record by record, to drop and count it.
+    A file that cannot be opened raises its ``OSError``; one that cannot be
+    decoded raises ``DataError``; one with no complete row raises
+    ``EmptyAfterFiltering``.
     """
     path = Path(path)
     wanted = [response_column] + list(predictor_columns)
-    rows: list[list[float]] = []
-    dropped = 0
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, [])
+            header = next(csv.reader(fh), [])
             missing = [c for c in wanted if c not in header]
             if missing:
                 raise ColumnMissing(f"columns {missing} not found in {path.name}")
             position = {name: j for j, name in enumerate(header)}  # last one wins
             at = [position[c] for c in wanted]
-            for record in filter(None, reader):  # a blank line is no row
-                try:
-                    rows.append([float(record[j]) for j in at])
-                except (IndexError, ValueError):  # a short row or a non-number
-                    dropped += 1
+            data, dropped = _read_rows(fh, at)
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot decode {path.name}: {exc}") from exc
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(wanted))
+    read = data.shape[0]
     data = data[np.isfinite(data).all(axis=1)]
-    dropped += len(rows) - data.shape[0]
+    dropped += read - data.shape[0]
     if not data.shape[0]:
         raise EmptyAfterFiltering(f"no complete rows in {path.name}")
     return Dataset(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowcon
 from lowcon import designs
 from lowcon.cli import main
 
@@ -233,6 +238,23 @@ def test_olhd_out_of_range_exit_code(r, p, flag, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and flag in err[0]
+
+
+def test_reader_closing_stdout_exits_0_quietly():
+    # ``lowcon olhd --r 20000 --p 2 | head -1``: 340 kB of output, so the
+    # writes after the reader has gone fail with a broken pipe
+    src = str(Path(lowcon.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lowcon.cli", "olhd", "--r", "20000", "--p", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"kappa=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def _write_csv(path, header, columns):

@@ -1,3 +1,7 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -423,6 +427,58 @@ class TestDiagnose:
         assert low.trace_bound_slack == pytest.approx(trace_slack, rel=1e-10)
 
 
+def reference_ingest(path, response, predictors):
+    """The documented ingestion rules, record by record: ``csv.reader`` for
+    the fields and ``float()`` for each selected cell."""
+    with open(path, newline="") as fh:
+        header, *records = csv.reader(fh)
+    at = [max(j for j, name in enumerate(header) if name == column)
+          for column in [response, *predictors]]
+    rows, dropped = [], 0
+    for record in records:
+        if not record:  # a blank line
+            continue
+        try:
+            values = [float(record[j]) for j in at]
+        except (IndexError, ValueError):  # short or not a number
+            dropped += 1
+            continue
+        if all(math.isfinite(v) for v in values):
+            rows.append(values)
+        else:
+            dropped += 1
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(at))
+    return data[:, 1:], data[:, 0], dropped
+
+
+# (body after the header "y,a,b", predictors). np.loadtxt parses the first
+# group in one pass; it rejects a row of each file in the second group, so
+# the record loop reads those
+INGEST_CORPUS = {
+    "quoted": ('"1","2",3\n4,"5","6"\n', ["a", "b"]),
+    "quoted-newline": ('"1\n",2,3\n4,5,6\n', ["a"]),
+    "crlf": ("1,2,3\r\n4,5,6\r\n", ["b", "a"]),
+    "cr-only": ("1,2,3\r4,5,6\r", ["a", "b"]),
+    "no-final-newline": ("1,2,3\n4,5,6", ["a"]),
+    "blank-lines": ("\n1,2,3\n\n\r\n4,5,6\n\n", ["a", "b"]),
+    "long-rows": ("1,2,3,4,5\n6,7,8\n9,10,11,12\n", ["b"]),
+    "trailing-commas": ("1,2,3,\n4,5,6,\n", ["a", "b"]),
+    "non-finite": ("1,2,3\nInfinity,2,3\n4,nan,6\n7,8,1e400\n-inf,1,1\n9,9,9\n",
+                   ["a", "b"]),
+    "signed-zero-subnormal": ("-0,4.9e-324,1e-400\n0,-2.2250738585072014e-308,-0.0\n",
+                              ["a", "b"]),
+    "padded-and-signed": (" 1 , +.5e-3,\t-7.\n.25 ,1E+2 , 3\n", ["a", "b"]),
+    "whitespace-only-line": ("1,2,3\n   \n4,5,6\n", ["a", "b"]),
+    "hash-led-line": ("1,2,3\n#4,5,6\n7,8,9\n", ["a"]),
+    "underscore-digits": ("1_0,2,3\n4,5,6\n", ["a", "b"]),
+    "short-row": ("1,2,3\n4,5\n7,8,9\n", ["b"]),
+    "na-row": ("1,2,3\nNA,5,6\n7,8,9\n", ["a", "b"]),
+    "empty-field": ("1,,3\n4,5,6\n", ["a"]),
+    "hex-and-word": ("0x10,2,3\n4,x,6\n7,8,9\n", ["a", "b"]),
+    "quoted-comma": ('"1,5",2,3\n4,5,6\n', ["a"]),
+}
+
+
 class TestCsvIngestion:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -464,6 +520,49 @@ class TestCsvIngestion:
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "nope.csv", "y", ["a"])
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
+    def test_matches_reference_bit_for_bit(self, tmp_path, name):
+        body, predictors = INGEST_CORPUS[name]
+        path = tmp_path / "d.csv"
+        path.write_bytes(("y,a,b\n" + body).encode())
+        data = ingest_csv(path, "y", predictors)
+        X, y, dropped = reference_ingest(path, "y", predictors)
+        assert data.X_raw.shape == X.shape and data.X_raw.tobytes() == X.tobytes()
+        assert data.y.shape == y.shape and data.y.tobytes() == y.tobytes()
+        assert data.dropped_rows == dropped
+
+    def test_quoted_and_repeated_header_names(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'"y","a,b",a,a\r\n1,2,3,4\r\n5,6,7,8\r\n')
+        data = ingest_csv(path, "y", ["a,b", "a"])  # "a" is its last column
+        X, y, dropped = reference_ingest(path, "y", ["a,b", "a"])
+        assert np.array_equal(data.X_raw, [[2.0, 4.0], [6.0, 8.0]])
+        assert data.X_raw.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
+        assert data.dropped_rows == dropped == 0
+
+    def test_one_droppable_row_only_adds_to_the_count(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = [",".join(repr(float(v)) for v in row)
+                 for row in rng.standard_normal((300, 3)) * 1e3]
+        clean, marred = tmp_path / "clean.csv", tmp_path / "marred.csv"
+        clean.write_text("y,a,b\n" + "\n".join(lines) + "\n")
+        marred.write_text("y,a,b\n" + "\n".join(lines[:150] + ["NA,1,2"] + lines[150:])
+                          + "\n")
+        fast, loop = (ingest_csv(p, "y", ["b", "a"]) for p in (clean, marred))
+        assert fast.X_raw.tobytes() == loop.X_raw.tobytes()
+        assert fast.y.tobytes() == loop.y.tobytes()
+        assert (fast.dropped_rows, loop.dropped_rows) == (0, 1)
+
+    @pytest.mark.parametrize("text", ["y,a\n", "y,a", "y,a\n\n\r\n\n"],
+                             ids=["header-only", "header-no-newline", "blank-lines"])
+    def test_no_rows_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyAfterFiltering):
+                ingest_csv(path, "y", ["a"])
 
     def test_round_trip_bit_equal(self, tmp_path):
         rng = np.random.default_rng(9)
