@@ -15,10 +15,11 @@ any other package error recurs on the same data, so it is not retried. A
 cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
 The samplers see each X as one prepared sample, which keeps what they derive
-from X alone (scaling, theta box, leverage, IBOSS picks). Simulate and toy
-build one per (r, replicate, attempt) for all methods; emse one per run.
-The first method in ``config.methods`` that needs a kept field builds it in
-its own timed call, so per-method ``mean_runtime_ms`` depends on that order.
+from X alone (the scaled sample with its squared row norms, theta box,
+leverage, IBOSS picks). Simulate and toy build one per (r, replicate,
+attempt) for all methods; emse one per run. The first method in
+``config.methods`` that needs a kept field builds it in its own timed call,
+so per-method ``mean_runtime_ms`` depends on that order.
 
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
@@ -563,8 +564,12 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     non-numeric row is parsed in one vectorised pass (``np.loadtxt``); a
     file with one is parsed again record by record, to drop and count it.
     A file that cannot be opened raises its ``OSError``; one that cannot be
-    decoded raises ``DataError``; one with no complete row raises
-    ``EmptyAfterFiltering``.
+    decoded, or that the ``csv`` module cannot parse, raises ``DataError``;
+    one with no complete row raises ``EmptyAfterFiltering``. The ``csv``
+    module reads the header and the record-by-record pass, so a field there
+    past its field limit (131072 characters) raises ``DataError``; in a
+    clean file such a numeric field goes through ``np.loadtxt`` instead,
+    and a value past the float range is then dropped as non-finite.
     """
     path = Path(path)
     wanted = [response_column] + list(predictor_columns)
@@ -579,6 +584,8 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
             data, dropped = _read_rows(fh, at)
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot decode {path.name}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(f"cannot parse {path.name}: {exc}") from exc
     read = data.shape[0]
     data = data[np.isfinite(data).all(axis=1)]
     dropped += read - data.shape[0]

@@ -41,17 +41,32 @@ class SubsampleSelection:
     perturbation: np.ndarray | None = None
 
 
-def scale_to_cube(X) -> tuple[np.ndarray, Box]:
-    """Affinely map each column of X onto [-1, 1] (min to -1, max to +1).
+def _scale_columns(X: np.ndarray, out: np.ndarray) -> Box:
+    """Write X's columns, each mapped affinely onto [-1, 1], into ``out``.
 
-    Returns the scaled X and the raw per-column [min, max] it maps from."""
-    X = _as_matrix(X)
+    The one scaling rule: ``out`` (n x p, any strides) receives
+    ``(X - lo) * 2 / (hi - lo) - 1`` in that op order, so every layout gets
+    the same bits. Returns the raw per-column [min, max] box."""
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     flat = np.nonzero(hi <= lo)[0]
     if flat.size:
         raise ConstantColumn(f"columns {flat.tolist()} have zero range")
-    return 2.0 * (X - lo) / (hi - lo) - 1.0, Box(lower=lo, upper=hi)
+    np.subtract(X, lo, out=out)
+    out *= 2.0
+    out /= hi - lo
+    out -= 1.0
+    return Box(lower=lo, upper=hi)
+
+
+def scale_to_cube(X) -> tuple[np.ndarray, Box]:
+    """Affinely map each column of X onto [-1, 1] (min to -1, max to +1).
+
+    Returns the scaled X, C-contiguous, and the raw per-column [min, max] it
+    maps from."""
+    X = _as_matrix(X)
+    out = np.empty(X.shape)
+    return out, _scale_columns(X, out)
 
 
 def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
@@ -82,7 +97,8 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
 class _Prepared:
     """A predictor matrix, checked once, that every sampler takes in its place.
     ``keep`` builds what depends on X alone on first use and keeps it, or the
-    package error it raised: the scaled X, box per theta, leverages, IBOSS per r."""
+    package error it raised: the scaled sample with its squared row norms
+    (``_scaled_sample``), box per theta, leverages, IBOSS per r."""
 
     def __init__(self, X):
         self.X = _as_matrix(X)
@@ -104,61 +120,80 @@ def _prepare(X) -> _Prepared:
     return X if isinstance(X, _Prepared) else _Prepared(X)
 
 
-# Bytes of expanded-distance scores the claim step holds per block of design
-# points; bounds its memory independently of r.
+def _scaled_sample(X: np.ndarray) -> np.ndarray:
+    """The (p+1) x n array S that LOWCON keeps: rows 0..p-1 are X's columns
+    scaled by ``_scale_columns`` (so ``S[:p].T`` equals ``scale_to_cube(X)[0]``
+    bit for bit), and row p holds their squared norms."""
+    n, p = X.shape
+    S = np.empty((p + 1, n))
+    _scale_columns(X, S[:p].T)
+    np.einsum("ij,ij->j", S[:p], S[:p], out=S[p])
+    return S
+
+
+# Bytes of screening scores the claim step holds per block of design points;
+# bounds its memory independently of r.
 _CLAIM_BLOCK_BYTES = 1 << 20
 
 
-def _claim_nearest(
-    X_scaled: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _claim_nearest(S: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Claim each design point's nearest unclaimed row, in design order.
 
-    Returns the claimed rows and their distances. The result is the one a
-    scan of the direct-difference distances ``((X_scaled - q)**2).sum(1)``
-    per point gives, first ``argmin``, with claimed rows excluded: the same
-    rows, ties to the lowest row, and the same distances bit for bit.
+    ``S`` is the scaled sample with its norms (``_scaled_sample``). Returns
+    the claimed rows and their distances. The result is the one a scan of
+    the direct-difference distances ``((x - q)**2).sum()`` over the scaled
+    rows x per point q gives, first ``argmin``, with claimed rows excluded:
+    the same rows, ties to the lowest row, and the same distances bit for
+    bit.
 
-    Screen: for a block of design points, one GEMM gives the expanded
-    squared distances ``s = |x|^2 - 2 x.q + |q|^2`` of every row. Per point,
-    only the rows with ``s <= min(s) + tol`` are candidates, and they are
-    ranked by the direct-difference expression.
+    Screen: for a block of design points, one GEMM ``[-2 q | 1] @ S`` gives
+    every row's score ``s = N - 2 x.q``, with N the stored norm of x. The
+    score lacks the per-point constant |q|^2, which changes its rounding but
+    not the order of the rows. Per point, only the rows with
+    ``s <= min(s) + tol`` are candidates, and they are ranked by the
+    direct-difference expression.
 
     Why the true nearest row survives: with unit roundoff u = eps/2 and
-    gamma_k = k u / (1 - k u), the direct form and the expanded form both
-    differ from the exact squared distance by at most
-    E = gamma_{p+3} (|x| + |q|)^2, whatever order BLAS sums in. If row a
-    has the least direct distance and b is any row, then
-    s_a <= d_a + E <= d_b + 3E <= s_b + 4E, so s_a <= min(s) + 4E. Taking
-    |x| and |q| at their maxima, tol = 4 (p+3) eps (max|x| + max|q|)^2 is
-    twice that 4E, and the spare factor absorbs the rounding of the norms
-    and of min(s) + tol. The same argument keeps every row tied with a at
-    the least direct distance, so the first-argmin tie rule also holds.
+    gamma_k = k u / (1 - k u), let D = |x - q|^2 exactly, d the direct form
+    and M = max|x| + max|q|. The direct form rounds p differences, p squares
+    and p - 1 sums of nonnegative terms, so |d - D| <= gamma_{p+2} M^2. The
+    stored norm has |N - |x|^2| <= gamma_p |x|^2. The GEMM is a (p+1)-term
+    dot product with -2q exact, so in any order BLAS sums (FMA included) it
+    adds at most gamma_{p+1} (2|x||q| + N). Together s + |q|^2 is within
+    E = gamma_{2p+1} M^2 of D. If row a has the least direct distance and b
+    is any row, then
+    s_a + |q|^2 <= d_a + gamma_{p+2} M^2 + E <= d_b + gamma_{p+2} M^2 + E
+    <= s_b + |q|^2 + 2 (gamma_{p+2} M^2 + E), so s_a <= min(s) + 2
+    gamma_{3p+3} M^2, about (3p+3) eps M^2. tol = 4 (p+3) eps M^2, with M
+    from the computed norms, exceeds that by about (p+9) eps M^2, which
+    absorbs the rounding of M, of tol and of min(s) + tol (|min(s)| <= M^2).
+    The same argument keeps every row tied with a at the least direct
+    distance, so the first-argmin tie rule also holds.
 
-    Memory: at most ``_CLAIM_BLOCK_BYTES`` of scores (at least one point per
-    block) plus the n row norms.
+    Memory: at most ``_CLAIM_BLOCK_BYTES`` (1 MiB) of scores, at least one
+    point per block, plus S (8 (p+1) n bytes), which the prepared sample
+    keeps.
     """
-    n, p = X_scaled.shape
+    p = S.shape[0] - 1
+    n = S.shape[1]
     r = points.shape[0]
-    xx = np.einsum("ij,ij->i", X_scaled, X_scaled)
     qq = np.einsum("ij,ij->i", points, points)
     tol = 4 * (p + 3) * np.finfo(np.float64).eps * (
-        np.sqrt(xx.max()) + np.sqrt(qq.max())
+        np.sqrt(S[p].max()) + np.sqrt(qq.max())
     ) ** 2
     block = max(1, _CLAIM_BLOCK_BYTES // (8 * n))
+    lhs = np.ones((min(block, r), p + 1))  # [-2 q | 1], a row per point
     indices = np.empty(r, dtype=np.intp)
     dists = np.empty(r)
     for start in range(0, r, block):
         stop = min(start + block, r)
-        s = points[start:stop] @ X_scaled.T
-        s *= -2.0
-        s += xx
-        s += qq[start:stop, None]
+        np.multiply(points[start:stop], -2.0, out=lhs[:stop - start, :p])
+        s = lhs[:stop - start] @ S
         s[:, indices[:start]] = np.inf
         for i in range(start, stop):
             row = s[i - start]
             cand = np.flatnonzero(row <= row.min() + tol)
-            d2 = ((X_scaled[cand] - points[i]) ** 2).sum(axis=1)
+            d2 = ((np.ascontiguousarray(S[:p, cand].T) - points[i]) ** 2).sum(axis=1)
             k = int(np.argmin(d2))  # first minimum: ties go to the lowest row
             j = cand[k]
             indices[i] = j
@@ -195,22 +230,23 @@ def lowcon(
     Selection is invariant to per-column positive affine transforms of the
     raw data, since scaling normalizes them away.
 
-    The claim screens every row by its expanded squared distance, from one
-    GEMM per block of design points, and ranks the rows that pass by direct
-    differences ``((x - q)**2).sum()``. The rows, ties (to the lowest row) and
-    distances are those of a direct-difference scan over all rows;
+    The sample is kept scaled, as one (p+1) x n array whose last row holds
+    the squared row norms, so the claim screens every row with one GEMM per
+    block of design points and ranks the rows that pass by direct
+    differences ``((x - q)**2).sum()``. The rows, ties (to the lowest row)
+    and distances are those of a direct-difference scan over all rows;
     ``_claim_nearest`` gives the screening tolerance and why the nearest row
-    always passes. The claim holds at most 1 MiB of scores plus the n row
-    norms, whatever r is.
+    always passes. The claim holds at most 1 MiB of scores, whatever r is,
+    plus that kept array.
     """
     sample = _prepare(X)
     n, p = sample.X.shape
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
-    X_scaled = sample.keep("scaled", lambda: scale_to_cube(sample.X)[0])
-    box = sample.keep(("box", theta), lambda: theta_box(X_scaled, theta))
+    S = sample.keep("scaled", lambda: _scaled_sample(sample.X))
+    box = sample.keep(("box", theta), lambda: theta_box(S[:p].T, theta))
     design = rescale_design(generate_olhd(r, p, rng), box)
-    indices, dists = _claim_nearest(X_scaled, design.points)
+    indices, dists = _claim_nearest(S, design.points)
     diag = SelectionDiagnostics(
         kappa_sub=condition_number(sample.X[indices]),
         mean_nn_distance=float(dists.mean()),
@@ -219,7 +255,7 @@ def lowcon(
         indices=indices,
         diagnostics=diag,
         design=design if keep_design else None,
-        perturbation=(X_scaled[indices] - design.points) if keep_design else None,
+        perturbation=(S[:p, indices].T - design.points) if keep_design else None,
     )
 
 

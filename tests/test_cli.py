@@ -360,6 +360,19 @@ def test_emse_data_not_utf8_exit_code(tmp_path, capsys):
     _single_error_line(capsys, "data error:")
 
 
+def test_emse_field_past_the_csv_limit_exit_code(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("y,a\n1,1" + "0" * 200_000 + "\nNA,4\n3,4\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "realdata", "r_list": [2], "replicates": 1,
+                               "methods": ["UNIF"]}))
+    argv = ["emse", "--config", str(cfg), "--data", str(data),
+            "--response", "y", "--predictors", "a"]
+    assert main(argv) == 3
+    err = _single_error_line(capsys, "data error:").err
+    assert "data.csv" in err and "field larger than field limit" in err
+
+
 def test_simulate_out_directory_exit_code(sim_config, tmp_path, capsys):
     out = tmp_path / "taken"
     out.mkdir()

@@ -10,6 +10,7 @@ import lowcon.samplers as samplers
 from lowcon import (
     ColumnMissing,
     ConfigError,
+    DataError,
     Dataset,
     DimensionTooSmall,
     EmptyAfterFiltering,
@@ -331,14 +332,14 @@ class TestRunEmse:
         y = a + b + 0.1 * rng.standard_normal(1000)
         data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         calls = []
-        for name in ("scale_to_cube", "theta_box"):
+        for name in ("_scale_columns", "theta_box"):
             real = getattr(samplers, name)
             monkeypatch.setattr(samplers, name, lambda *args, name=name, real=real:
                                 calls.append(name) or real(*args))
         cfg = ExperimentConfig(mode="realdata", r_list=(200, 300), replicates=3,
                                seed=0, methods=ALL_METHODS)
         res = run_emse(data, cfg)
-        assert sorted(calls) == ["scale_to_cube", "theta_box"]
+        assert sorted(calls) == ["_scale_columns", "theta_box"]
         lowcon_failed = [c for c in res.failed_cells if c[1] == "LOWCON"]
         assert len(lowcon_failed) == (2 if rare else 0)
 
@@ -520,6 +521,19 @@ class TestCsvIngestion:
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "nope.csv", "y", ["a"])
+
+    # a field past the csv module's limit (131072 characters): in a data row
+    # that the record-by-record pass reads (the NA row sends the file there),
+    # and in the header
+    @pytest.mark.parametrize("text", [
+        "y,a\n1,1" + "0" * 200_000 + "\nNA,4\n3,4\n",
+        "y,a," + "z" * 200_000 + "\n1,2,3\n",
+    ], ids=["long-field-in-a-row", "long-field-in-the-header"])
+    def test_field_past_the_csv_limit_is_a_data_error(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=r"d\.csv: field larger than field limit"):
+            ingest_csv(path, "y", ["a"])
 
     @pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
     def test_matches_reference_bit_for_bit(self, tmp_path, name):

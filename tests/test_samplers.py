@@ -23,6 +23,7 @@ from lowcon.samplers import (
     _claim_nearest,
     _leverage_probs,
     _Prepared,
+    _scaled_sample,
 )
 
 
@@ -51,6 +52,18 @@ class TestScaling:
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumn):
             scale_to_cube(np.column_stack([np.arange(4.0), np.full(4, 7.0)]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_the_formula_and_to_the_kept_sample(self, order):
+        X = np.asarray(np.random.default_rng(4).standard_t(3, (257, 5)) * 1e3 + 7.0,
+                       order=order)
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        scaled, _ = scale_to_cube(X)
+        assert scaled.shape == (257, 5) and scaled.flags["C_CONTIGUOUS"]
+        assert np.array_equal(scaled, 2.0 * (X - lo) / (hi - lo) - 1.0)
+        S = _scaled_sample(X)
+        assert np.array_equal(S[:5].T, scaled)
+        assert np.allclose(S[5], (scaled ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
 
 
 class TestThetaBox:
@@ -418,26 +431,33 @@ def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, min_ties):
     assert ties >= min_ties
 
 
-@pytest.mark.parametrize("n", [
-    pytest.param(400, id="unique-one-block"),
+@pytest.mark.parametrize("n, p, corner", [
+    pytest.param(400, 3, False, id="unique-one-block"),
     # a block then holds the scores of 7 points, so 30 points span 5 blocks
-    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, id="unique-block-boundaries"),
+    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, 3, False, id="unique-block-boundaries"),
+    # design points within 0.01 of a cube corner: |q|^2 ~ p and |x|^2 ~ p,
+    # so the screening score |x|^2 - 2 x.q ~ -p cancels hardest
+    pytest.param(400, 10, True, id="corners-p10-one-block"),
+    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, 10, True,
+                 id="corners-p10-block-boundaries"),
 ])
-def test_claim_near_ties_match_greedy_oracle(n):
+def test_claim_near_ties_match_greedy_oracle(n, p, corner):
     # rows 1e-9 from each design point, and exact duplicates of them: squared
-    # distances differ by ~1e-18 while the expanded form errs by ~1e-15, so
+    # distances differ by ~1e-18 while the screening score errs by ~1e-15, so
     # only the exact re-rank can order these rows. Each point comes twice, 15
     # points apart, so the repeat must skip the row its first copy claimed in
     # an earlier block.
     rng = np.random.default_rng(50)
-    r, p = 30, 3
-    points = np.tile(rng.uniform(-0.9, 0.9, (r // 2, p)), (2, 1))
+    r = 30
+    half = rng.uniform(-0.9, 0.9, (r // 2, p))
+    if corner:
+        half = np.sign(half) * rng.uniform(0.99, 0.999, half.shape)
+    points = np.tile(half, (2, 1))
     near = np.repeat(points, 4, axis=0) + 1e-9 * rng.standard_normal((4 * r, p))
     near = np.vstack([near, near[::3], near[::5]])
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
-    scaled, _ = scale_to_cube(X)
-    indices, dists = _claim_nearest(scaled, points)
+    indices, dists = _claim_nearest(_scaled_sample(X), points)
     rows, mean_dist, ties = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
