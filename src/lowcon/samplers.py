@@ -41,50 +41,42 @@ class SubsampleSelection:
     perturbation: np.ndarray | None = None
 
 
-def _scale_columns(X: np.ndarray, out: np.ndarray) -> Box:
-    """Write X's columns, each mapped affinely onto [-1, 1], into ``out``.
+def _scale_rows(R: np.ndarray) -> Box:
+    """Map each row of the p x n array R affinely onto [-1, 1], in place.
 
-    The one scaling rule: ``out`` (n x p, any strides) receives
-    ``(X - lo) * 2 / (hi - lo) - 1`` in that op order, so every layout gets
-    the same bits. Returns the raw per-column [min, max] box."""
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+    The one scaling rule: each row c becomes ``(c - lo) * 2 / (hi - lo) - 1``
+    in that op order, with its min and max taken along the row. R holds one
+    predictor per row, so every pass runs over contiguous memory when R is
+    C-contiguous. Returns the raw per-predictor [min, max] box."""
+    lo = R.min(axis=1)
+    hi = R.max(axis=1)
     flat = np.nonzero(hi <= lo)[0]
     if flat.size:
         raise ConstantColumn(f"columns {flat.tolist()} have zero range")
-    np.subtract(X, lo, out=out)
-    out *= 2.0
-    out /= hi - lo
-    out -= 1.0
+    R -= lo[:, None]
+    R *= 2.0
+    R /= (hi - lo)[:, None]
+    R -= 1.0
     return Box(lower=lo, upper=hi)
 
 
 def scale_to_cube(X) -> tuple[np.ndarray, Box]:
     """Affinely map each column of X onto [-1, 1] (min to -1, max to +1).
 
-    Returns the scaled X, C-contiguous, and the raw per-column [min, max] it
-    maps from."""
-    X = _as_matrix(X)
-    out = np.empty(X.shape)
-    return out, _scale_columns(X, out)
+    Scales a copy of X held as contiguous predictor rows, as LOWCON's kept
+    sample is, and returns its transpose, C-contiguous n x p, with the raw
+    per-column [min, max] it maps from. X itself is never written."""
+    R = _as_matrix(X).T.copy()
+    box = _scale_rows(R)
+    return R.T.copy(), box
 
 
-def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
-    """Per-column [theta, 100 - theta] percentile box of the scaled sample.
-
-    Uses linear-interpolation quantiles; theta = 0 returns the full
-    [-1, 1]^p cube exactly (the scaled column extremes are exactly +-1).
-
-    Raises
-    ------
-    DegenerateBox
-        When a column's two percentiles coincide, as for a 0/1 column whose
-        minority value is rarer than theta percent; the message names the
-        column indices.
-    """
+def _theta_rows(R: np.ndarray, theta: float) -> Box:
+    """The [theta, 100 - theta] percentile box of the p x n scaled sample R,
+    one predictor per row; ``theta_box`` without the matrix check."""
     if not 0.0 <= theta < 50.0:
         raise ValueError("theta must lie in [0, 50) percent")
-    lo, hi = np.quantile(X_scaled, [theta / 100.0, 1.0 - theta / 100.0], axis=0)
+    lo, hi = np.quantile(R, [theta / 100.0, 1.0 - theta / 100.0], axis=1)
     flat = np.nonzero(lo >= hi)[0]
     if flat.size:
         raise DegenerateBox(
@@ -94,11 +86,31 @@ def theta_box(X_scaled: np.ndarray, theta: float) -> Box:
     return Box(lower=lo, upper=hi)
 
 
+def theta_box(X_scaled, theta: float) -> Box:
+    """Per-column [theta, 100 - theta] percentile box of the scaled sample.
+
+    Uses linear-interpolation quantiles; theta = 0 returns the full
+    [-1, 1]^p cube exactly (the scaled column extremes are exactly +-1).
+
+    Raises
+    ------
+    ValueError
+        When X_scaled is not a finite 2-d matrix with at least one row and
+        column, or theta lies outside [0, 50).
+    DegenerateBox
+        When a column's two percentiles coincide, as for a 0/1 column whose
+        minority value is rarer than theta percent; the message names the
+        column indices.
+    """
+    return _theta_rows(_as_matrix(X_scaled).T, theta)
+
+
 class _Prepared:
     """A predictor matrix, checked once, that every sampler takes in its place.
     ``keep`` builds what depends on X alone on first use and keeps it, or the
-    package error it raised: the scaled sample with its squared row norms
-    (``_scaled_sample``), box per theta, leverages, IBOSS per r."""
+    package error it raised: the scaled sample as contiguous predictor rows
+    with their squared norms (``_scaled_sample``), box per theta, leverages,
+    IBOSS per r."""
 
     def __init__(self, X):
         self.X = _as_matrix(X)
@@ -121,12 +133,14 @@ def _prepare(X) -> _Prepared:
 
 
 def _scaled_sample(X: np.ndarray) -> np.ndarray:
-    """The (p+1) x n array S that LOWCON keeps: rows 0..p-1 are X's columns
-    scaled by ``_scale_columns`` (so ``S[:p].T`` equals ``scale_to_cube(X)[0]``
-    bit for bit), and row p holds their squared norms."""
+    """The C-contiguous (p+1) x n array S that LOWCON keeps: rows 0..p-1 are
+    a copy of X's columns, one predictor per row, scaled in place by
+    ``_scale_rows`` (so ``S[:p].T`` equals ``scale_to_cube(X)[0]`` bit for
+    bit), and row p holds the squared norms of the scaled sample points."""
     n, p = X.shape
     S = np.empty((p + 1, n))
-    _scale_columns(X, S[:p].T)
+    S[:p] = X.T
+    _scale_rows(S[:p])
     np.einsum("ij,ij->j", S[:p], S[:p], out=S[p])
     return S
 
@@ -230,21 +244,21 @@ def lowcon(
     Selection is invariant to per-column positive affine transforms of the
     raw data, since scaling normalizes them away.
 
-    The sample is kept scaled, as one (p+1) x n array whose last row holds
-    the squared row norms, so the claim screens every row with one GEMM per
-    block of design points and ranks the rows that pass by direct
-    differences ``((x - q)**2).sum()``. The rows, ties (to the lowest row)
-    and distances are those of a direct-difference scan over all rows;
-    ``_claim_nearest`` gives the screening tolerance and why the nearest row
-    always passes. The claim holds at most 1 MiB of scores, whatever r is,
-    plus that kept array.
+    The sample is kept scaled, as one C-contiguous (p+1) x n array with one
+    predictor per row and the squared row norms in its last row, so the claim
+    screens every row with one GEMM per block of design points and ranks the
+    rows that pass by direct differences ``((x - q)**2).sum()``. The rows,
+    ties (to the lowest row) and distances are those of a direct-difference
+    scan over all rows; ``_claim_nearest`` gives the screening tolerance and
+    why the nearest row always passes. The claim holds at most 1 MiB of
+    scores, whatever r is, plus that kept array.
     """
     sample = _prepare(X)
     n, p = sample.X.shape
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
     S = sample.keep("scaled", lambda: _scaled_sample(sample.X))
-    box = sample.keep(("box", theta), lambda: theta_box(S[:p].T, theta))
+    box = sample.keep(("box", theta), lambda: _theta_rows(S[:p], theta))
     design = rescale_design(generate_olhd(r, p, rng), box)
     indices, dists = _claim_nearest(S, design.points)
     diag = SelectionDiagnostics(

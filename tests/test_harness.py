@@ -332,14 +332,14 @@ class TestRunEmse:
         y = a + b + 0.1 * rng.standard_normal(1000)
         data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         calls = []
-        for name in ("_scale_columns", "theta_box"):
+        for name in ("_scale_rows", "_theta_rows"):
             real = getattr(samplers, name)
             monkeypatch.setattr(samplers, name, lambda *args, name=name, real=real:
                                 calls.append(name) or real(*args))
         cfg = ExperimentConfig(mode="realdata", r_list=(200, 300), replicates=3,
                                seed=0, methods=ALL_METHODS)
         res = run_emse(data, cfg)
-        assert sorted(calls) == ["_scale_columns", "theta_box"]
+        assert sorted(calls) == ["_scale_rows", "_theta_rows"]
         lowcon_failed = [c for c in res.failed_cells if c[1] == "LOWCON"]
         assert len(lowcon_failed) == (2 if rare else 0)
 

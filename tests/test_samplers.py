@@ -53,15 +53,19 @@ class TestScaling:
         with pytest.raises(ConstantColumn):
             scale_to_cube(np.column_stack([np.arange(4.0), np.full(4, 7.0)]))
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bit_equal_to_the_formula_and_to_the_kept_sample(self, order):
-        X = np.asarray(np.random.default_rng(4).standard_t(3, (257, 5)) * 1e3 + 7.0,
-                       order=order)
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_equal_to_the_formula_and_to_the_kept_sample(self, layout):
+        base = np.random.default_rng(4).standard_t(3, (514, 5)) * 1e3 + 7.0
+        X = {"C": base[:257], "F": np.asfortranarray(base[:257]),
+             "strided": base[::2, ::-1]}[layout]
+        before = X.copy()
         lo, hi = X.min(axis=0), X.max(axis=0)
         scaled, _ = scale_to_cube(X)
+        assert np.array_equal(X, before)
         assert scaled.shape == (257, 5) and scaled.flags["C_CONTIGUOUS"]
         assert np.array_equal(scaled, 2.0 * (X - lo) / (hi - lo) - 1.0)
         S = _scaled_sample(X)
+        assert np.array_equal(X, before)
         assert np.array_equal(S[:5].T, scaled)
         assert np.allclose(S[5], (scaled ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
 
@@ -107,6 +111,33 @@ class TestThetaBox:
     def test_theta_range_validated(self):
         with pytest.raises(ValueError):
             theta_box(np.zeros((10, 1)), 50.0)
+
+    @pytest.mark.parametrize("X, message", [
+        (np.linspace(-1.0, 1.0, 5), r"shape \(5,\)"),
+        (np.zeros((0, 2)), r"shape \(0, 2\)"),
+        (np.zeros((4, 2, 2)), r"shape \(4, 2, 2\)"),
+        (np.where(np.arange(20).reshape(10, 2) == 7, np.nan, 0.5),
+         "matrix entries must be finite"),
+    ], ids=["vector", "no-rows", "3-d", "nan"])
+    def test_rejects_what_is_not_a_finite_matrix(self, X, message):
+        with pytest.raises(ValueError, match=message):
+            theta_box(X, 1.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 5.0, 25.0])
+    @pytest.mark.parametrize("shape", ["odd", "even", "ties", "p1"])
+    def test_box_lowcon_keeps_is_numpys_quantile(self, shape, theta):
+        # the oracle is numpy's own n x p quantile of the public scaling
+        rng = np.random.default_rng(5)
+        X = {"odd": rng.standard_normal((301, 4)),
+             "even": rng.standard_t(3, (300, 3)) * [1.0, 50.0, 0.1],
+             "ties": np.round(rng.standard_normal((400, 3)), 1),
+             "p1": rng.exponential(size=(251, 1))}[shape]
+        sample = _Prepared(X)
+        lowcon(sample, 30, theta, rng=np.random.default_rng(6))
+        kept = sample.keep(("box", theta), None)
+        q = [theta / 100.0, 1.0 - theta / 100.0]
+        lo, hi = np.quantile(scale_to_cube(X)[0], q, axis=0)
+        assert np.array_equal(kept.lower, lo) and np.array_equal(kept.upper, hi)
 
 
 class TestUnif:
