@@ -47,12 +47,23 @@ def _scale_rows(R: np.ndarray) -> Box:
     The one scaling rule: each row c becomes ``(c - lo) * 2 / (hi - lo) - 1``
     in that op order, with its min and max taken along the row. R holds one
     predictor per row, so every pass runs over contiguous memory when R is
-    C-contiguous. Returns the raw per-predictor [min, max] box."""
+    C-contiguous. Returns the raw per-predictor [min, max] box. A row with
+    zero range, or one so wide that a step would overflow, raises before
+    anything is written."""
     lo = R.min(axis=1)
     hi = R.max(axis=1)
     flat = np.nonzero(hi <= lo)[0]
     if flat.size:
         raise ConstantColumn(f"columns {flat.tolist()} have zero range")
+    # (c - lo) * 2 <= 2 * (hi - lo) after rounding, so no step below
+    # overflows when this bound is finite
+    with np.errstate(over="ignore"):
+        wide = np.nonzero(~np.isfinite(2.0 * (hi - lo)))[0]
+    if wide.size:
+        raise ValueError(
+            f"columns {wide.tolist()} have too wide a range to scale: "
+            f"2 * (max - min) overflows float64"
+        )
     R -= lo[:, None]
     R *= 2.0
     R /= (hi - lo)[:, None]
@@ -65,18 +76,49 @@ def scale_to_cube(X) -> tuple[np.ndarray, Box]:
 
     Scales a copy of X held as contiguous predictor rows, as LOWCON's kept
     sample is, and returns its transpose, C-contiguous n x p, with the raw
-    per-column [min, max] it maps from. X itself is never written."""
+    per-column [min, max] it maps from. X itself is never written.
+
+    Raises ``ConstantColumn`` for a column with zero range and
+    ``ValueError`` for one whose ``2 * (max - min)`` overflows float64; both
+    name the column indices."""
     R = _as_matrix(X).T.copy()
     box = _scale_rows(R)
     return R.T.copy(), box
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, g) -> np.ndarray:
+    """numpy's quantile interpolation from a to b at weight g, in the form
+    numpy picks for that weight, so the result has numpy's bits."""
+    if g >= 0.5:
+        return b - (b - a) * (1.0 - g)
+    return a + (b - a) * g
+
+
 def _theta_rows(R: np.ndarray, theta: float) -> Box:
     """The [theta, 100 - theta] percentile box of the p x n scaled sample R,
-    one predictor per row; ``theta_box`` without the matrix check."""
+    one predictor per row; ``theta_box`` without the matrix check. R itself
+    is never written."""
     if not 0.0 <= theta < 50.0:
         raise ValueError("theta must lie in [0, 50) percent")
-    lo, hi = np.quantile(R, [theta / 100.0, 1.0 - theta / 100.0], axis=1)
+    n = R.shape[1]
+    v = (n - 1) * np.array([theta / 100.0, 1.0 - theta / 100.0])
+    W = R.copy()  # C-contiguous rows, partitioned in place
+    if n == 1:
+        lo = hi = W[:, 0]
+    else:
+        k_lo, k_hi = int(v[0]), int(v[1])  # floor, since v >= 0
+        W.partition(k_lo, axis=1)
+        U = W[:, k_lo + 1:]  # every entry >= W[:, k_lo]
+        a, b = W[:, k_lo], U.min(axis=1)
+        lo = _lerp(a, b, v[0] - k_lo)
+        if v[1] >= n - 1:  # both neighbours are the max, and so is the lerp
+            hi = U.max(axis=1)
+        elif k_hi == k_lo:  # both percentiles fall between the same pair
+            hi = _lerp(a, b, v[1] - k_lo)
+        else:
+            j = k_hi - k_lo - 1
+            U.partition(j, axis=1)
+            hi = _lerp(U[:, j], U[:, j + 1:].min(axis=1), v[1] - k_hi)
     flat = np.nonzero(lo >= hi)[0]
     if flat.size:
         raise DegenerateBox(
@@ -89,8 +131,19 @@ def _theta_rows(R: np.ndarray, theta: float) -> Box:
 def theta_box(X_scaled, theta: float) -> Box:
     """Per-column [theta, 100 - theta] percentile box of the scaled sample.
 
-    Uses linear-interpolation quantiles; theta = 0 returns the full
-    [-1, 1]^p cube exactly (the scaled column extremes are exactly +-1).
+    The percentiles are numpy's default "linear" quantiles, type 7 of
+    Hyndman & Fan (1996), with ``np.quantile``'s bits: for q = theta / 100
+    and 1 - theta / 100, v = (n - 1) q, k = floor(v) and g = v - k, the
+    neighbours a <= b sit at positions k and k + 1 of the sorted column
+    (both are its max when v >= n - 1), and the percentile is
+    ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` where g >= 0.5. (Where
+    a column ties -0.0 with 0.0, the sign of a zero result may differ; a
+    scaled column holds no -0.0.) theta = 0 returns the full [-1, 1]^p cube
+    exactly (the scaled column extremes are exactly +-1).
+
+    Cost: one p x n copy, then two single-kth partitions along its rows,
+    the second over the part above the first kth only, and a min over
+    each upper part.
 
     Raises
     ------
@@ -130,6 +183,16 @@ class _Prepared:
 
 def _prepare(X) -> _Prepared:
     return X if isinstance(X, _Prepared) else _Prepared(X)
+
+
+def _check_r(r, *, positive: bool = True) -> None:
+    """The samplers' one check of the target size: r is an integer (numpy
+    integers count, a bool does not) and, unless the sampler bounds r by its
+    own rule, at least 1."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"r must be an integer, got r={r!r}")
+    if positive and r < 1:
+        raise ValueError(f"r must be at least 1, got r={r}")
 
 
 def _scaled_sample(X: np.ndarray) -> np.ndarray:
@@ -253,6 +316,7 @@ def lowcon(
     why the nearest row always passes. The claim holds at most 1 MiB of
     scores, whatever r is, plus that kept array.
     """
+    _check_r(r, positive=False)  # r <= p raises InfeasibleDesign
     sample = _prepare(X)
     n, p = sample.X.shape
     if not n > r:
@@ -275,6 +339,7 @@ def lowcon(
 
 def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Uniform subsampling without replacement."""
+    _check_r(r)
     X = _prepare(X).X
     n = X.shape[0]
     if n < r:
@@ -297,6 +362,7 @@ def _leverage_probs(X, alpha: float) -> np.ndarray:
 def _leverage_draw(
     sample: _Prepared, r: int, rng: np.random.Generator, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    _check_r(r)
     n = sample.X.shape[0]
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
@@ -351,6 +417,7 @@ def iboss(X, r: int) -> SubsampleSelection:
     Cost O(np): per column and side one pass over the free rows, a
     partition for the k-th value and a sort of the k picks only.
     """
+    _check_r(r, positive=False)  # r < 2p raises below
     sample = _prepare(X)
     return sample.keep(("iboss", r), lambda: _iboss(sample.X, r))
 

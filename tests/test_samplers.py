@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,38 @@ from lowcon.samplers import (
     _claim_nearest,
     _leverage_probs,
     _Prepared,
+    _scale_rows,
     _scaled_sample,
 )
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (r, error, message) cases that every sampler shares: a float, a numpy
+# float and a bool are no integer; a numpy integer is one
+NON_INTEGER_R = [
+    pytest.param(10.0, ValueError, r"r must be an integer, got r=10\.0", id="float"),
+    pytest.param(np.float64(10.0), ValueError, r"r must be an integer, got r=",
+                 id="numpy-float"),
+    pytest.param(True, ValueError, r"r must be an integer, got r=True", id="bool"),
+    pytest.param(np.int64(10), None, None, id="numpy-int"),
+]
+# what unif, blev, slev and levunw also reject
+POSITIVE_R = NON_INTEGER_R + [
+    pytest.param(0, ValueError, r"r must be at least 1, got r=0", id="zero"),
+    pytest.param(-1, ValueError, r"r must be at least 1, got r=-1", id="negative"),
+]
+
+
+def check_r(select, r, error, message):
+    """``select(r)`` raises ``error`` matching ``message``, or selects r rows."""
+    if error is None:
+        assert len(select(r).indices) == r
+    else:
+        with pytest.raises(error, match=message):
+            select(r)
 
 
 class TestScaling:
@@ -68,6 +100,26 @@ class TestScaling:
         assert np.array_equal(X, before)
         assert np.array_equal(S[:5].T, scaled)
         assert np.allclose(S[5], (scaled ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("col", [[-1e308, 1e308, 0.0], [0.0, 1.6e308, 1.0]],
+                             ids=["range-overflows", "twice-range-overflows"])
+    def test_overflowing_range_named_before_any_write(self, col):
+        # the suite turns a RuntimeWarning into an error, so none may be raised
+        X = np.column_stack([np.arange(3.0), col, np.array(col) / 4])
+        before = X.copy()
+        for call in (scale_to_cube, lambda X: lowcon(X, 2, rng=np.random.default_rng(0))):
+            with pytest.raises(ValueError, match=r"columns \[1\] have too wide a range"):
+                call(X)
+        R = X.T.copy()
+        with pytest.raises(ValueError, match=r"columns \[1\]"):
+            _scale_rows(R)
+        assert same_bits(R, before.T.copy()) and same_bits(X, before)
+
+    def test_widest_range_that_fits_scales_by_the_formula(self):
+        X = np.array([[0.0, -1.0], [8.9e307, 3.0], [3e307, 1.0], [8e307, 2.0]])
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        scaled, _ = scale_to_cube(X)
+        assert same_bits(scaled, 2.0 * (X - lo) / (hi - lo) - 1.0)
 
 
 class TestThetaBox:
@@ -139,8 +191,52 @@ class TestThetaBox:
         lo, hi = np.quantile(scale_to_cube(X)[0], q, axis=0)
         assert np.array_equal(kept.lower, lo) and np.array_equal(kept.upper, hi)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_sweep_is_numpys_quantile_bit_for_bit(self, layout):
+        # seeded shapes, a third with rounded ties, plus the edges: p = 1,
+        # n = 1 (one point: every column degenerate), n = 2 and n = 4 (both
+        # percentiles between the same pair), n = 3 (neighbouring pairs).
+        # Inputs hold no -0.0: where -0.0 and 0.0 tie, which one a partition
+        # leaves at a position depends on its path, and the sign shows in
+        # the bits (a scaled column never holds -0.0).
+        rng = np.random.default_rng(8)
+        shapes = [(int(rng.integers(2, 600)), int(rng.integers(1, 5))) for _ in range(60)]
+        shapes += [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 2), (500, 1)]
+        for i, (n, p) in enumerate(shapes):
+            base = rng.uniform(-1.0, 1.0, (2 * n, p + 1))
+            if i % 3 == 0:
+                base = np.round(base, 1) + 0.0
+            X = {"C": base[:n, :p].copy(), "F": np.asfortranarray(base[:n, :p]),
+                 "strided": base[::2, :0:-1]}[layout]
+            before = X.copy()
+            for theta in (0.0, 1e-9, 1.0, 5.0, 25.0, 49.9, 49.99):
+                q = [theta / 100.0, 1.0 - theta / 100.0]
+                lo, hi = np.quantile(X, q, axis=0)
+                flat = np.flatnonzero(lo >= hi).tolist()
+                if flat:
+                    with pytest.raises(DegenerateBox, match=rf"columns {re.escape(str(flat))} "):
+                        theta_box(X, theta)
+                else:
+                    box = theta_box(X, theta)
+                    assert same_bits(box.lower, lo) and same_bits(box.upper, hi), (n, p, theta)
+                assert same_bits(X, before)
+
+    def test_lowcon_leaves_input_and_kept_sample_unchanged(self):
+        X = np.asfortranarray(np.random.default_rng(9).standard_normal((400, 3)))
+        before = X.copy()
+        sample = _Prepared(X)
+        for theta in (1.0, 25.0):
+            lowcon(sample, 20, theta, rng=np.random.default_rng(10))
+        assert same_bits(sample.keep("scaled", None), _scaled_sample(before))
+        assert same_bits(X, before)
+
 
 class TestUnif:
+    @pytest.mark.parametrize("r, error, message", POSITIVE_R)
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: unif(X, r, np.random.default_rng(0)), r, error, message)
+
     def test_all_rows_when_r_equals_n(self):
         X = np.random.default_rng(3).standard_normal((6, 2))
         sel = unif(X, 6, np.random.default_rng(0))
@@ -171,6 +267,11 @@ def equal_leverage_design(n):
 
 
 class TestBlev:
+    @pytest.mark.parametrize("r, error, message", POSITIVE_R)
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: blev(X, r, np.random.default_rng(0)), r, error, message)
+
     def test_equal_leverage_gives_uniform_weights(self):
         n, r = 16, 8
         X = equal_leverage_design(n)
@@ -204,6 +305,11 @@ class TestBlev:
 
 
 class TestSlev:
+    @pytest.mark.parametrize("r, error, message", POSITIVE_R)
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: slev(X, r, np.random.default_rng(0)), r, error, message)
+
     def test_weights_use_fixed_shrinkage(self):
         rng = np.random.default_rng(12)
         n, r = 40, 12
@@ -226,6 +332,11 @@ class TestSlev:
 
 
 class TestLevunw:
+    @pytest.mark.parametrize("r, error, message", POSITIVE_R)
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: levunw(X, r, np.random.default_rng(0)), r, error, message)
+
     def test_same_indices_as_blev_same_seed(self):
         X = np.random.default_rng(17).standard_normal((30, 3))
         a = blev(X, 9, np.random.default_rng(18))
@@ -334,6 +445,14 @@ class TestIboss:
         with pytest.raises(ValueError):
             iboss(X, 5)  # r < 2p
 
+    @pytest.mark.parametrize("r, error, message", NON_INTEGER_R + [
+        pytest.param(0, ValueError, r"need r >= 2p, got r=0, p=2", id="zero"),
+        pytest.param(50, ValueError, r"need n >= r, got n=40, r=50", id="above-n"),
+    ])
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: iboss(X, r), r, error, message)
+
 
 class TestLowcon:
     def test_recovers_design_points_exactly(self):
@@ -408,6 +527,15 @@ class TestLowcon:
         X = np.random.default_rng(36).standard_normal((50, 3))
         with pytest.raises(InfeasibleDesign):
             lowcon(X, 3, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("r, error, message", NON_INTEGER_R + [
+        pytest.param(0, InfeasibleDesign, r"r=0 runs", id="zero"),
+        pytest.param(-1, InfeasibleDesign, r"r=-1 runs", id="negative"),
+        pytest.param(40, ValueError, r"need n > r, got n=40, r=40", id="equal-n"),
+    ])
+    def test_r_checked(self, r, error, message):
+        X = np.random.default_rng(2).standard_normal((40, 2))
+        check_r(lambda r: lowcon(X, r, rng=np.random.default_rng(0)), r, error, message)
 
 
 def greedy_claim_oracle(X, design_points):
