@@ -11,7 +11,9 @@ Exit codes, each failure reported as one line on stderr:
 * 2 configuration error: ``ConfigError``, including a config file that
   cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
   p cannot give a nonsingular design or the OLHD descent would need more
-  than 2 GiB (8 r^2 bytes, so r > 16384)
+  than 2 GiB (8 r^2 bytes, so r > 16384), or a ``MemoryError`` when a size
+  such as n or r asks for more memory than numpy can allocate (the line
+  names the subcommand)
 * 3 data error: ``DataError``, an input or output file that cannot be
   opened (the output path is checked before the run starts), or, in
   diagnose, ``DegenerateBox`` when a predictor column leaves a zero-width
@@ -211,6 +213,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ConfigError, InfeasibleDesign) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a size that no check bounds, such as n or --r in the trillions
+        print(f"config error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, DegenerateBox, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -175,8 +175,10 @@ class ExperimentConfig:
             raise ConfigError("r_list must be nonempty")
         if not 0.0 <= self.theta < 50.0:
             raise ConfigError("theta must lie in [0, 50)")
-        if not self.sigma2 >= 0:
-            raise ConfigError("sigma2 must be nonnegative")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ConfigError(
+                f"sigma2 must be finite and nonnegative, got {self.sigma2!r}"
+            )
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         methods = tuple(str(m).upper() for m in self.methods)

@@ -394,15 +394,15 @@ def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     return _selection(sample.X, indices)
 
 
-def _lowest(keys: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """The k entries of ``rows`` with the smallest ``keys``, ordered by
-    (key, row). ``rows`` ascends, so at the k-th key value the lowest rows
-    win. One partition finds that value; only the k picks are sorted."""
+def _lowest(keys: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the k smallest ``keys``, ordered by (key, position),
+    so at the k-th key value the lowest positions win. One partition finds
+    that value; only the k picks are sorted."""
     v = np.partition(keys, k - 1)[k - 1]
     pick = keys < v
     pick[np.flatnonzero(keys == v)[: k - np.count_nonzero(pick)]] = True
     pos = np.flatnonzero(pick)
-    return rows[pos[np.argsort(keys[pos], kind="stable")]]
+    return pos[np.argsort(keys[pos], kind="stable")]
 
 
 def iboss(X, r: int) -> SubsampleSelection:
@@ -414,8 +414,8 @@ def iboss(X, r: int) -> SubsampleSelection:
     what is still free. Value ties resolve to the smallest row index. No
     randomness is involved.
 
-    Cost O(np): per column and side one pass over the free rows, a
-    partition for the k-th value and a sort of the k picks only.
+    Cost: per step one masked copy of the column, one partition, a sort of
+    the picks only; the remainder adds at most 2p - 1 such steps, so O(np).
     """
     _check_r(r, positive=False)  # r < 2p raises below
     sample = _prepare(X)
@@ -429,35 +429,15 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     k = r // (2 * p)
-    taken = np.zeros(n, dtype=bool)
-    chosen: list = []
-    for j in range(p):
-        for sign in (1.0, -1.0):
-            rows = np.flatnonzero(~taken)
-            pick = _lowest(sign * X[rows, j], rows, k)
-            taken[pick] = True
-            chosen.append(pick)
-    m = r - 2 * p * k
-    if m > 0:
-        # each side skips at most the other side's picks, so m candidates
-        # per side always suffice
-        rows = np.flatnonzero(~taken)
-        col = X[rows, 0]
-        asc, desc = _lowest(col, rows, m), _lowest(-col, rows, m)
-        ai = di = 0
-        take_small = True
-        while m > 0:
-            if take_small:
-                while taken[asc[ai]]:
-                    ai += 1
-                i = asc[ai]
-            else:
-                while taken[desc[di]]:
-                    di += 1
-                i = desc[di]
-            taken[i] = True
-            chosen.append([i])
-            take_small = not take_small
-            m -= 1
-    indices = np.concatenate(chosen).astype(np.intp, copy=False)
+    steps = [(j, sign, k) for j in range(p) for sign in (1.0, -1.0)]
+    steps += [(0, (1.0, -1.0)[i % 2], 1) for i in range(r - 2 * p * k)]
+    indices = np.empty(r, dtype=np.intp)
+    done = 0
+    for j, sign, count in steps:
+        keys = sign * X[:, j]
+        # X is finite and n >= r leaves count free rows, so a taken row's
+        # inf key is never among the picks
+        keys[indices[:done]] = np.inf
+        indices[done:done + count] = _lowest(keys, count)
+        done += count
     return _selection(X, indices)

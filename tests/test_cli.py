@@ -63,9 +63,10 @@ def test_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("n", 300.5), ("r_list", 20), ("replicates", "2"), ("seed", 1.5),
     ("seed", -1), ("theta", None), ("r_list", [20.7]), ("dist", ["D1"]),
-    ("output_path", 5),
+    ("output_path", 5), ("sigma2", float("inf")),
 ], ids=["float-n", "scalar-r_list", "string-replicates", "float-seed",
-        "negative-seed", "null-theta", "float-r", "list-dist", "number-output_path"])
+        "negative-seed", "null-theta", "float-r", "list-dist", "number-output_path",
+        "infinite-sigma2"])
 def test_badly_typed_config_exit_code(sim_config, capsys, field, value):
     raw = json.loads(sim_config.read_text())
     raw[field] = value
@@ -227,6 +228,28 @@ def test_descent_past_memory_bound_exit_code(monkeypatch, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "r=40" in err[0]
     assert captured.out == ""
+
+
+# 10**15 rows ask numpy for petabytes, past a 47-bit address space, so the
+# first array is refused at once whatever the host's overcommit setting
+HUGE = 10**15
+
+
+def test_olhd_past_memory_exit_code(capsys):
+    assert main(["olhd", "--r", str(HUGE), "--p", "2"]) == 2
+    captured = _single_error_line(capsys, "config error: olhd ran out of memory:")
+    assert "Unable to allocate" in captured.err and captured.out == ""
+
+
+def test_simulate_past_memory_exit_code(sim_config, tmp_path, capsys):
+    raw = json.loads(sim_config.read_text())
+    raw["n"] = HUGE
+    sim_config.write_text(json.dumps(raw))
+    out = tmp_path / "res.csv"
+    assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 2
+    captured = _single_error_line(capsys, "config error: simulate ran out of memory:")
+    assert "Unable to allocate" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r, p, flag", [("5", "0", "--p"), ("5", "-1", "--p"),

@@ -116,6 +116,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_load_rejects_non_finite_sigma2(self, tmp_path, value):
+        # Python's json reads these tokens, so the config must reject them:
+        # an infinite sigma2 makes every simulated y infinite
+        path = tmp_path / "cfg.json"
+        path.write_text('{"mode": "simulate", "n": 300, "p": 4, "sigma2": %s}' % value)
+        with pytest.raises(ConfigError, match="sigma2 must be finite and nonnegative"):
+            load_config(path)
+
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(

@@ -432,6 +432,12 @@ class TestIboss:
         cases += [(rng.integers(0, 2, (n, 3)).astype(float), (n,)) for n in (17, 23)]
         # p = 1, up to r == n
         cases.append((rng.integers(0, 5, (100, 1)).astype(float), (2, 7, 51, 100)))
+        # 0.0 ties with -0.0 on both sides, and negating a key swaps the two;
+        # at p = 3, r = 2pk + 2p - 1 leaves the longest remainder, 5 rows
+        signed = rng.choice([0.0, -0.0, 1.0, -1.0], (60, 3), p=[0.35, 0.35, 0.15, 0.15])
+        cases.append((signed, (6, 11, 17, 35, 59)))
+        # only signed zeros: every pick is a tie that goes to the lowest free row
+        cases.append((np.where(rng.random((40, 2)) < 0.5, 0.0, -0.0), (7, 19, 39)))
         for X, rs in cases:
             for r in rs:
                 assert iboss(X, r).indices.tolist() == iboss_oracle(X, r), (X.shape, r)
