@@ -1,16 +1,16 @@
 """Reading the theory diagnostics for a selected subsample.
 
 For each method this prints the condition number of the subsample
-information matrix and the worst-case MSE bound at user-chosen noise and
-misspecification levels. For the design-based method it also decomposes the
-selection into design points plus a perturbation (the design-to-sample gap)
-and reports whether the smallest design singular value dominates the gap's
-largest one, which is what makes the perturbation bounds usable, along with
-their slack.
+information matrix and the worst-case MSE bound at the config's noise level
+(sigma2) and a chosen misspecification level (alpha). For the design-based
+method it also decomposes the selection into design points plus a
+perturbation (the design-to-sample gap) and reports whether the smallest
+design singular value dominates the gap's largest one, which is what makes
+the perturbation bounds usable, along with their slack.
 
 The same report is available from the CLI:
 
-  lowcon diagnose --config cfg.json --alpha 1.0 --sigma2 1.0
+  lowcon diagnose --config cfg.json --alpha 1.0
 
 Run:  python demos/06_diagnostics.py
 """
@@ -19,13 +19,13 @@ from lowcon import ExperimentConfig, diagnose
 
 cfg = ExperimentConfig(
     mode="simulate", dist="D1", misspec="H2", n=4000, p=3, r_list=(20,),
-    replicates=1, seed=5,
+    sigma2=1.0, replicates=1, seed=5,
     methods=("UNIF", "BLEV", "IBOSS", "LOWCON"),
 )
 
 print(f"One seeded draw: dist={cfg.dist}, n={cfg.n}, p={cfg.p}, r={cfg.r_list[0]}")
 print()
-for e in diagnose(cfg, alpha=1.0, sigma2=1.0):
+for e in diagnose(cfg, alpha=1.0):
     print(f"{e.method:7s} kappa(X*'X*) = {e.kappa_sub:10.3f}   "
           f"worst-case MSE bound = {e.worst_case_bound:8.3f}")
     if e.method == "LOWCON":

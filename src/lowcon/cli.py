@@ -123,7 +123,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config = load_config(args.config)
-    for e in diagnose(config, alpha=args.alpha, sigma2=args.sigma2):
+    for e in diagnose(config, alpha=args.alpha):
         line = (
             f"{e.method:7s} r={e.r} kappa={e.kappa_sub:.4g} "
             f"worst_case={e.worst_case_bound:.6g}"
@@ -188,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="theory diagnostics for one seeded draw")
     diag.add_argument("--config", required=True)
     diag.add_argument("--alpha", type=float, required=True)
-    diag.add_argument("--sigma2", type=float, required=True)
     diag.set_defaults(func=_cmd_diagnose)
 
     olhd = sub.add_parser("olhd", help="print a low-correlation Latin hypercube design")

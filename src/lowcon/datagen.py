@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSample, DimensionTooSmall
+from .linalg import _require_int
 
 DISTRIBUTIONS = ("D1", "D2", "D3")
 MISSPECIFICATIONS = ("H1", "H2", "H3", "H4", "H5")
@@ -38,6 +39,7 @@ class MisspecTerm:
 
 def covariance_matrix(p: int) -> np.ndarray:
     """Toeplitz covariance with entries 10 * 0.6**|i - j|."""
+    _require_int(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     idx = np.arange(p)
@@ -46,6 +48,7 @@ def covariance_matrix(p: int) -> np.ndarray:
 
 def beta_layout(p: int) -> np.ndarray:
     """True coefficients: leading and trailing 20% (ceiling) are 1, rest 0.1."""
+    _require_int(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     k = int(np.ceil(0.2 * p))
@@ -74,6 +77,8 @@ def gen_predictors(dist: str, n: int, p: int, rng: np.random.Generator) -> np.nd
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
+    _require_int(n, "n")
+    _require_int(p, "p")
     if n < 1 or p < 1:
         raise ValueError("n and p must be at least 1")
     chol = np.linalg.cholesky(covariance_matrix(p))
@@ -164,6 +169,7 @@ def toy_example(
     leverage weights bounded, and the rare wide-component points are exactly
     the high-information rows a uniform subsample tends to miss.
     """
+    _require_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     wide = rng.random(n) < _TOY_TAIL_FRAC

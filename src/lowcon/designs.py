@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateBox, InfeasibleDesign
+from .linalg import _require_int
 
 DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
@@ -72,6 +73,7 @@ class DesignMatrix:
 
 def lhd_levels(r: int) -> np.ndarray:
     """The r centered levels (2k - 1 - r) / r for k = 1..r, ascending."""
+    _require_int(r, "r")
     if r < 1:
         raise ValueError("r must be at least 1")
     k = np.arange(1, r + 1, dtype=np.float64)
@@ -99,6 +101,8 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     Each column is an independent uniform random permutation of
     ``lhd_levels(r)``.
     """
+    _require_int(r, "r")
+    _require_int(p, "p")
     if r < 2:
         raise ValueError("r must be at least 2")
     if p < 1:
@@ -106,33 +110,22 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     return DesignMatrix(_random_lhd_points(r, p, rng))
 
 
-def _row_sqdist(L: np.ndarray) -> np.ndarray:
-    """D2[a, b] = ||L[b] - L[a]||^2, summed column by column from the direct
+def _swap_scratch(L: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """D2 and the scratch of one descent for ``_best_swap``.
+
+    D2[a, b] = ||L[b] - L[a]||^2 is summed column by column from the direct
     differences (not from L @ L.T, whose norms would cancel), one block of
-    ``_SWAP_BLOCK_ROWS`` rows a at a time, in one reused diff buffer."""
+    ``_SWAP_BLOCK_ROWS`` rows a at a time, through the first score buffer:
+    each block sums its columns b >= a0 and mirrors the part past its own
+    rows, since (x_b - x_a)^2 == (x_a - x_b)^2 makes D2 exactly symmetric.
+    The scratch is contiguous vectors x and w of length r, and per row block
+    [a0, a1) the views it scores with, (a0, x_a, x_b, w_a, w_b, D2[a0:a1,
+    a0:], d, t, u). d, t and u are (a1 - a0) x (r - a0) views of three flat
+    buffers of ``_SWAP_BLOCK_ROWS * r`` floats, so each block's scores are
+    contiguous. D2 is only updated in place, so its views stay valid for the
+    whole descent."""
     r = L.shape[0]
     D2 = np.zeros((r, r))
-    diff = np.empty((_SWAP_BLOCK_ROWS, r))
-    Lt = np.ascontiguousarray(L.T)
-    for a0 in range(0, r, _SWAP_BLOCK_ROWS):
-        a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
-        block, out = D2[a0:a1], diff[: a1 - a0]
-        for col in Lt:
-            np.subtract(col, col[a0:a1, None], out=out)
-            np.multiply(out, out, out=out)
-            block += out
-    return D2
-
-
-def _swap_scratch(D2: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """The scratch of one descent for ``_best_swap``: contiguous vectors x
-    and w of length r, and per row block [a0, a1) the views it scores with,
-    (a0, x_a, x_b, w_a, w_b, D2[a0:a1, a0:], d, t, u). d, t and u are
-    (a1 - a0) x (r - a0) views of three flat buffers of
-    ``_SWAP_BLOCK_ROWS * r`` floats, so each block's scores are contiguous.
-    D2 is only updated in place, so its views stay valid for the whole
-    descent."""
-    r = D2.shape[0]
     x, w = np.empty(r), np.empty(r)
     bufs = np.empty((3, _SWAP_BLOCK_ROWS * r))
     blocks = []
@@ -140,9 +133,14 @@ def _swap_scratch(D2: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
         shape = (a1 - a0, r - a0)
         d, t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        for col in L.T:
+            np.subtract(col[a0:], col[a0:a1, None], out=d)
+            np.multiply(d, d, out=d)
+            D2[a0:a1, a0:] += d
+        D2[a1:, a0:a1] = D2[a0:a1, a1:].T
         blocks.append((a0, x[a0:a1, None], x[None, a0:], w[a0:a1, None],
                        w[None, a0:], D2[a0:a1, a0:], d, t, u))
-    return x, w, blocks
+    return D2, (x, w, blocks)
 
 
 def _best_swap(
@@ -151,7 +149,7 @@ def _best_swap(
     """The best swap of column j as (a, b, rss_ab, g.g), where rss_ab is the
     off-diagonal sum of squares of Gram row j after swapping L[a, j] and
     L[b, j] and g.g is its current value. ``G`` is L.T @ L and ``scratch``
-    is ``_swap_scratch(_row_sqdist(L))``.
+    is ``_swap_scratch(L)[1]``.
 
     Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
     b >= the block's first row. rss is bit-symmetric in (a, b), so the first
@@ -226,8 +224,7 @@ def _descend_correlations(
             f"r={r}, p={p}: the OLHD descent needs {8 * r * r} bytes for its "
             f"{r}x{r} distance matrix, past the bound of {_MAX_D2_BYTES} bytes"
         )
-    D2 = _row_sqdist(L)
-    scratch = _swap_scratch(D2)
+    D2, scratch = _swap_scratch(L)
     improved = True
     while improved:
         improved = False
@@ -271,6 +268,8 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         every permutation. Also when a start misses the target and its
         descent would need an r x r distance matrix past 2 GiB (r > 16384).
     """
+    _require_int(r, "r")
+    _require_int(p, "p")
     if p < 1:
         raise ValueError("p must be at least 1")
     if r <= p:

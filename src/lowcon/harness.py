@@ -471,25 +471,25 @@ class DiagnoseEntry:
     trace_bound_slack: float | None = None
 
 
-def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[DiagnoseEntry]:
+def diagnose(config: ExperimentConfig, alpha: float) -> list[DiagnoseEntry]:
     """One seeded pass surfacing the theory checkers for each method.
 
-    Reports the condition number of each method's selection, drawn as in the
-    grid, and its worst-case MSE bound at the supplied (sigma2, alpha). For a
+    Draws replicate 0 at the first ``r`` of ``config.r_list`` and reports the
+    condition number of each method's selection, drawn as in the grid, and
+    its worst-case MSE bound at the config's ``sigma2`` and the supplied
+    ``alpha``; a selection below full rank has an infinite bound. For a
     selection that keeps its design (LOWCON) it also reports the extreme
     singular values of the design and of the design-to-sample gap, whether
     the perturbation assumption holds, and the slack of the condition-number
     and trace-inverse bounds (bound minus the directly computed value, in the
     scaled space where the design lives), all by the rules of ``estimators``.
     The draw is synthetic, so only simulate configs are taken. ``alpha`` must
-    be finite and positive and ``sigma2`` finite and nonnegative.
+    be finite and positive.
     """
     if config.mode != "simulate":
         raise ConfigError(f"diagnose expects simulate mode, got {config.mode}")
     if not (np.isfinite(alpha) and alpha > 0):
         raise ConfigError(f"diagnose needs a finite alpha > 0, got {alpha}")
-    if not (np.isfinite(sigma2) and sigma2 >= 0):
-        raise ConfigError(f"diagnose needs a finite sigma2 >= 0, got {sigma2}")
     r = config.r_list[0]
     X, _, _ = _simulate_data(config, r, replicate=0, attempt=0)
     sample = _Prepared(X)
@@ -511,11 +511,12 @@ def diagnose(config: ExperimentConfig, alpha: float, sigma2: float) -> list[Diag
                 fields.update(assumption_holds=True,
                               kappa_bound_slack=kappa_bound - float((s[0] / s[-1]) ** 2),
                               trace_bound_slack=trace_bound - float(np.sum(1.0 / s**2)))
-        entries.append(DiagnoseEntry(
-            method=m, r=r, kappa_sub=sel.diagnostics.kappa_sub,
-            worst_case_bound=worst_case_mse(X[sel.indices], sigma2, alpha).bound,
-            **fields,
-        ))
+        try:
+            bound = worst_case_mse(X[sel.indices], config.sigma2, alpha).bound
+        except RankDeficient:
+            bound = np.inf
+        entries.append(DiagnoseEntry(method=m, r=r, kappa_sub=sel.diagnostics.kappa_sub,
+                                     worst_case_bound=bound, **fields))
     return entries
 
 

@@ -1,11 +1,11 @@
 """Dense linear-algebra primitives shared by every other module.
 
-This module owns three rules that the rest of the package calls rather than
-restates: the matrix check (2-d, non-empty, finite), the rank rule (one
-machine-precision-scaled cutoff, so every caller agrees on what "rank
-deficient" means) and the weighted least-squares solve. All routines work
-from an orthogonal factorization (SVD); nothing here forms an explicit
-matrix inverse.
+This module owns four rules that the rest of the package calls rather than
+restates: the size check (an integer, not a bool), the matrix check (2-d,
+non-empty, finite), the rank rule (one machine-precision-scaled cutoff, so
+every caller agrees on what "rank deficient" means) and the weighted
+least-squares solve. All routines work from an orthogonal factorization
+(SVD); nothing here forms an explicit matrix inverse.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from .exceptions import RankDeficient
 # Smallest singular value below max(rows, cols) * s1 * RANK_RTOL declares
 # rank deficiency.
 RANK_RTOL = 1e-12
+
+
+def _require_int(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer: numpy
+    integers count, a bool and an integral float do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
 
 
 def _as_matrix(X) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .designs import Box, DesignMatrix, generate_olhd, rescale_design
 from .exceptions import ConstantColumn, DegenerateBox, LowconError
-from .linalg import _as_matrix, condition_number, leverage_scores
+from .linalg import _as_matrix, _require_int, condition_number, leverage_scores
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,10 @@ def _prepare(X) -> _Prepared:
 
 
 def _check_r(r, *, positive: bool = True) -> None:
-    """The samplers' one check of the target size: r is an integer (numpy
-    integers count, a bool does not) and, unless the sampler bounds r by its
-    own rule, at least 1."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"r must be an integer, got r={r!r}")
+    """The samplers' one check of the target size: r is an integer by
+    ``_require_int``'s rule and, unless the sampler bounds r by its own rule,
+    at least 1."""
+    _require_int(r, "r")
     if positive and r < 1:
         raise ValueError(f"r must be at least 1, got r={r}")
 

@@ -138,8 +138,7 @@ def test_diagnose_prints_assumption(tmp_path, capsys):
             "replicates": 1,
             "methods": ["UNIF", "LOWCON"],
         }))
-        code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0",
-                     "--sigma2", "1.0"])
+        code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0"])
         assert code == 0
         out = capsys.readouterr().out
         assert "worst_case" in out
@@ -153,8 +152,7 @@ def test_diagnose_rejects_realdata_config(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "mode": "realdata", "n": 400, "p": 3, "methods": ["UNIF", "IBOSS"],
     }))
-    code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0",
-                 "--sigma2", "1.0"])
+    code = main(["diagnose", "--config", str(cfg), "--alpha", "1.0"])
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
@@ -424,20 +422,40 @@ def test_out_check_leaves_no_trace_when_run_fails(tmp_path, capsys, existing):
 
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--alpha", "inf"),
-    ("--sigma2", "-1"), ("--sigma2", "nan"), ("--sigma2", "inf"),
 ])
 def test_diagnose_bad_flag_exit_code(sim_config, capsys, flag, value):
-    given = {"--alpha": "1.0", "--sigma2": "1.0", flag: value}
-    assert main(["diagnose", "--config", str(sim_config),
-                 "--alpha", given["--alpha"], "--sigma2", given["--sigma2"]]) == 2
+    assert main(["diagnose", "--config", str(sim_config), flag, value]) == 2
     captured = _single_error_line(capsys, "config error:")
     assert flag.lstrip("-") in captured.err and captured.out == ""
+
+
+def test_diagnose_takes_sigma2_from_the_config(sim_config):
+    # the noise level is the config's sigma2; there is no second one to pass
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--config", str(sim_config), "--alpha", "1", "--sigma2", "1"])
+    assert exc.value.code == 2
+
+
+def test_diagnose_rank_deficient_selection_prints_inf_bound(tmp_path, capsys):
+    # BLEV draws rows [11, 11, 12, 11], rank 2 of 3: its bound is inf, and
+    # every method still prints
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "simulate", "dist": "D1", "misspec": "H1", "n": 20, "p": 3,
+        "r_list": [4], "replicates": 1, "seed": 18, "methods": ["BLEV", "UNIF"],
+    }))
+    assert main(["diagnose", "--config", str(cfg), "--alpha", "1"]) == 0
+    captured = capsys.readouterr()
+    blev, unif = captured.out.strip().splitlines()
+    assert captured.err == ""
+    assert blev.startswith("BLEV ") and "kappa=inf" in blev and "worst_case=inf" in blev
+    assert unif.startswith("UNIF ") and "worst_case=inf" not in unif
 
 
 def test_diagnose_huge_alpha_prints_inf_bound(sim_config, capsys):
     # alpha**2 is past the float range: the bound is inf, not a traceback
     assert main(["diagnose", "--config", str(sim_config),
-                 "--alpha", "1e200", "--sigma2", "1"]) == 0
+                 "--alpha", "1e200"]) == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
     assert len(lines) == 2 and captured.err == ""

@@ -31,6 +31,19 @@ class TestCovariance:
         np.linalg.cholesky(covariance_matrix(20))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: covariance_matrix(2.5), "p=2.5"),
+    (lambda: beta_layout(2.5), "p=2.5"),
+    (lambda: beta_layout(True), "p=True"),
+    (lambda: gen_predictors("D1", 2.5, 2, np.random.default_rng(0)), "n=2.5"),
+    (lambda: gen_predictors("D1", 10, 2.0, np.random.default_rng(0)), "p=2.0"),
+    (lambda: toy_example(2.5, np.random.default_rng(0), 1.0), "n=2.5"),
+], ids=["covariance-p", "beta-p", "beta-bool", "predictors-n", "predictors-p", "toy-n"])
+def test_non_integer_size_rejected(call, name):
+    with pytest.raises(ValueError, match=f"must be an integer, got {name}"):
+        call()
+
+
 class TestBetaLayout:
     def test_p10(self):
         expect = [1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 1, 1]

@@ -16,7 +16,6 @@ from lowcon.designs import (
     DEFAULT_KAPPA_TARGET,
     _best_swap,
     _descend_correlations,
-    _row_sqdist,
     _swap_scratch,
 )
 
@@ -30,6 +29,19 @@ class TestLevels:
 
     def test_r1(self):
         assert np.array_equal(lhd_levels(1), [0.0])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: lhd_levels(2.5), "r=2.5"),
+    (lambda: lhd_levels(True), "r=True"),
+    (lambda: generate_lhd(4.0, 2, np.random.default_rng(0)), "r=4.0"),
+    (lambda: generate_lhd(4, np.float64(2), np.random.default_rng(0)), "p="),
+    (lambda: generate_olhd(5, 2.0, np.random.default_rng(0)), "p=2.0"),
+    (lambda: generate_olhd(True, 1, np.random.default_rng(0)), "r=True"),
+], ids=["levels-float", "levels-bool", "lhd-r", "lhd-p", "olhd-p", "olhd-r"])
+def test_non_integer_size_rejected(call, name):
+    with pytest.raises(ValueError, match=f"must be an integer, got {name}"):
+        call()
 
 
 class TestLhd:
@@ -199,10 +211,10 @@ class TestSwapDescent:
         ties = 0
         for r in (9, 70):
             L = generate_lhd(r, p, np.random.default_rng(30 + p)).points
-            G, D2 = L.T @ L, _row_sqdist(L)
+            G, (D2, scratch) = L.T @ L, _swap_scratch(L)
             for j in range(p):
                 exact = _exact_swap_rss(L, j)
-                a, b, rss_ab, gg = _best_swap(L, j, G, _swap_scratch(D2))
+                a, b, rss_ab, gg = _best_swap(L, j, G, scratch)
                 assert exact[a, b] == exact.min() and b >= a
                 minimizers = np.argwhere(exact == exact.min())
                 if len(minimizers) > 2:  # more than the pair and its mirror
@@ -222,7 +234,7 @@ class TestSwapDescent:
         # with one column every swap leaves the empty off-diagonal empty, so
         # all r^2 scores are exactly 0 and the first row-major pair wins
         L = generate_lhd(130, 1, np.random.default_rng(34)).points
-        scratch = _swap_scratch(_row_sqdist(L))
+        _, scratch = _swap_scratch(L)
         assert _best_swap(L, 0, L.T @ L, scratch) == (0, 0, 0.0, 0.0)
 
     @pytest.mark.parametrize("r, p, seeds", [(20, 3, 100), (30, 2, 100),
@@ -239,7 +251,8 @@ class TestSwapDescent:
     @pytest.mark.parametrize("r, p", [(130, 7), (400, 20)])
     def test_row_sqdist_matches_whole_matrix(self, r, p):
         L = generate_lhd(r, p, np.random.default_rng(r + p)).points
-        assert np.array_equal(_row_sqdist(L), _full_sqdist(L))
+        D2, _ = _swap_scratch(L)
+        assert np.array_equal(D2, _full_sqdist(L))
 
     @pytest.mark.parametrize("r, p", [(12, 2), (15, 3), (20, 5)])
     def test_descent_ends_at_local_optimum(self, r, p):

@@ -23,6 +23,7 @@ from lowcon import (
     run_emse,
     run_simulation,
     toy_config,
+    worst_case_mse,
     write_result_csv,
 )
 
@@ -116,10 +117,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "-1"])
     def test_load_rejects_non_finite_sigma2(self, tmp_path, value):
         # Python's json reads these tokens, so the config must reject them:
-        # an infinite sigma2 makes every simulated y infinite
+        # an infinite sigma2 makes every simulated y infinite; a negative
+        # one is no variance either
         path = tmp_path / "cfg.json"
         path.write_text('{"mode": "simulate", "n": 300, "p": 4, "sigma2": %s}' % value)
         with pytest.raises(ConfigError, match="sigma2 must be finite and nonnegative"):
@@ -398,7 +400,7 @@ class TestDiagnose:
             methods=("UNIF", "LOWCON"),
         )
         for cfg, expect_holds in ((holds, True), (violated, False)):
-            entries = diagnose(cfg, alpha=1.0, sigma2=1.0)
+            entries = diagnose(cfg, alpha=1.0)
             assert [e.method for e in entries] == list(cfg.methods)
             for e in entries:
                 assert np.isfinite(e.kappa_sub) and np.isfinite(e.worst_case_bound)
@@ -413,12 +415,27 @@ class TestDiagnose:
                 assert low.kappa_bound_slack is None
                 assert low.trace_bound_slack is None
 
+    def test_bound_is_at_the_config_sigma2(self):
+        cfg = ExperimentConfig(
+            mode="simulate", dist="D1", misspec="H2", n=4000, p=3,
+            r_list=(20, 30), replicates=2, seed=5, sigma2=9.0, methods=ALL_METHODS,
+        )
+        entries = diagnose(cfg, alpha=1.0)
+        # replicate 0 at the first r, each method's selection drawn as in the grid
+        X, _, _ = harness._simulate_data(cfg, 20, replicate=0, attempt=0)
+        for e in entries:
+            rng = harness._sampler_rng(cfg.seed, harness._cell_key(cfg), 20, 0, 0, e.method)
+            sub = X[harness._draw_selection(e.method, X, 20, rng, cfg).indices]
+            assert e.r == 20
+            assert e.worst_case_bound == worst_case_mse(sub, 9.0, 1.0).bound
+            assert e.worst_case_bound > worst_case_mse(sub, 1.0, 1.0).bound
+
     def test_lowcon_fields_match_eigenvalues(self):
         cfg = ExperimentConfig(
             mode="simulate", dist="D1", misspec="H1", n=4000, p=3,
             r_list=(20,), replicates=1, seed=5, methods=("LOWCON",),
         )
-        (low,) = diagnose(cfg, alpha=1.0, sigma2=1.0)
+        (low,) = diagnose(cfg, alpha=1.0)
         # the same selection, from diagnose's derived data and sampler seeds
         X, _, _ = harness._simulate_data(cfg, 20, replicate=0, attempt=0)
         rng = harness._sampler_rng(cfg.seed, harness._cell_key(cfg), 20, 0, 0, "LOWCON")

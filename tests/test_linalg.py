@@ -8,6 +8,19 @@ from lowcon import (
     leverage_scores,
     singular_values,
 )
+from lowcon.linalg import _require_int
+
+
+@pytest.mark.parametrize("value, ok", [
+    (3, True), (np.int64(3), True), (0, True), (3.0, False), (np.float64(3), False),
+    (True, False), ("3", False), (None, False),
+])
+def test_require_int_names_the_argument(value, ok):
+    if ok:
+        _require_int(value, "k")
+    else:
+        with pytest.raises(ValueError, match=r"^k must be an integer, got k="):
+            _require_int(value, "k")
 
 
 def hat_diag_oracle(X):
