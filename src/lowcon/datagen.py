@@ -58,6 +58,12 @@ def beta_layout(p: int) -> np.ndarray:
     return beta
 
 
+def _require_noise_scale(value, name: str) -> None:
+    """The noise arguments' one check: a finite value >= 0, named on error."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def _student_t_rows(
     n: int, df: float, rng: np.random.Generator, chol: np.ndarray
 ) -> np.ndarray:
@@ -151,8 +157,7 @@ def gen_response(
     beta0 = np.asarray(beta0, dtype=np.float64).reshape(-1)
     if beta0.shape[0] != X.shape[1]:
         raise ValueError("beta0 length must match the number of columns")
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative")
+    _require_noise_scale(sigma2, "sigma2")
     h = misspec_values(misspec.kind, X, misspec.constant)
     return X @ beta0 + h + np.sqrt(sigma2) * rng.standard_normal(X.shape[0])
 
@@ -172,6 +177,7 @@ def toy_example(
     _require_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
+    _require_noise_scale(noise_sd, "noise_sd")
     wide = rng.random(n) < _TOY_TAIL_FRAC
     magnitude = np.where(
         wide,

@@ -196,6 +196,15 @@ class TestResponses:
         assert abs(resid.var() - 1.0) < 3 * np.sqrt(2.0 / n)
 
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_sigma2_rejected(self, sigma2):
+        X = gen_predictors("D1", 20, 3, np.random.default_rng(18))
+        with pytest.raises(ValueError, match=r"sigma2 must be finite and nonnegative"):
+            gen_response(X, beta_layout(3), MisspecTerm("H1", 0.0), sigma2,
+                         np.random.default_rng(19))
+
+
 class TestToyExample:
     def test_noise_free_curve(self):
         x, y = toy_example(500, np.random.default_rng(14), noise_sd=0.0)
@@ -215,3 +224,9 @@ class TestToyExample:
     def test_magnitude_cap(self):
         x, _ = toy_example(50_000, np.random.default_rng(17), noise_sd=0.6)
         assert np.abs(x).max() == _TOY_CAP
+
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -0.6],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_noise_sd_rejected(self, noise_sd):
+        with pytest.raises(ValueError, match=r"noise_sd must be finite and nonnegative"):
+            toy_example(5, np.random.default_rng(20), noise_sd)

@@ -249,7 +249,7 @@ class TestSwapDescent:
             assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("r, p", [(130, 7), (400, 20)])
-    def test_row_sqdist_matches_whole_matrix(self, r, p):
+    def test_swap_scratch_d2_matches_whole_matrix(self, r, p):
         L = generate_lhd(r, p, np.random.default_rng(r + p)).points
         D2, _ = _swap_scratch(L)
         assert np.array_equal(D2, _full_sqdist(L))

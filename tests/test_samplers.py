@@ -96,10 +96,14 @@ class TestScaling:
         assert np.array_equal(X, before)
         assert scaled.shape == (257, 5) and scaled.flags["C_CONTIGUOUS"]
         assert np.array_equal(scaled, 2.0 * (X - lo) / (hi - lo) - 1.0)
-        S = _scaled_sample(X)
+        S, screen = _scaled_sample(X)
         assert np.array_equal(X, before)
-        assert np.array_equal(S[:5].T, scaled)
-        assert np.allclose(S[5], (scaled ** 2).sum(axis=1), rtol=1e-15, atol=0.0)
+        assert np.array_equal(S.T, scaled)
+        assert screen.dtype == np.float32 and screen.flags["C_CONTIGUOUS"]
+        assert np.array_equal(screen[:5], scaled.T.astype(np.float32))
+        # norms summed in float64, then rounded once to float32
+        assert np.allclose(screen[5], (scaled ** 2).sum(axis=1),
+                           rtol=1.0001 * 2.0 ** -24, atol=0.0)
 
     @pytest.mark.parametrize("col", [[-1e308, 1e308, 0.0], [0.0, 1.6e308, 1.0]],
                              ids=["range-overflows", "twice-range-overflows"])
@@ -227,7 +231,8 @@ class TestThetaBox:
         sample = _Prepared(X)
         for theta in (1.0, 25.0):
             lowcon(sample, 20, theta, rng=np.random.default_rng(10))
-        assert same_bits(sample.keep("scaled", None), _scaled_sample(before))
+        kept, fresh = sample.keep("scaled", None), _scaled_sample(before)
+        assert all(same_bits(a, b) for a, b in zip(kept, fresh, strict=True))
         assert same_bits(X, before)
 
 
@@ -596,19 +601,25 @@ def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, min_ties):
     assert ties >= min_ties
 
 
+# a sample of this many rows leaves room for 7 points' screening scores in
+# one claim block, whatever the screen's dtype
+SEVEN_POINT_BLOCK_N = (
+    _CLAIM_BLOCK_BYTES // (_scaled_sample(np.eye(2))[1].itemsize * 8) + 1
+)
+
+
 @pytest.mark.parametrize("n, p, corner", [
     pytest.param(400, 3, False, id="unique-one-block"),
     # a block then holds the scores of 7 points, so 30 points span 5 blocks
-    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, 3, False, id="unique-block-boundaries"),
+    pytest.param(SEVEN_POINT_BLOCK_N, 3, False, id="unique-block-boundaries"),
     # design points within 0.01 of a cube corner: |q|^2 ~ p and |x|^2 ~ p,
     # so the screening score |x|^2 - 2 x.q ~ -p cancels hardest
     pytest.param(400, 10, True, id="corners-p10-one-block"),
-    pytest.param(_CLAIM_BLOCK_BYTES // (8 * 8) + 1, 10, True,
-                 id="corners-p10-block-boundaries"),
+    pytest.param(SEVEN_POINT_BLOCK_N, 10, True, id="corners-p10-block-boundaries"),
 ])
 def test_claim_near_ties_match_greedy_oracle(n, p, corner):
     # rows 1e-9 from each design point, and exact duplicates of them: squared
-    # distances differ by ~1e-18 while the screening score errs by ~1e-15, so
+    # distances differ by ~1e-18 while the screening score errs by ~1e-7, so
     # only the exact re-rank can order these rows. Each point comes twice, 15
     # points apart, so the repeat must skip the row its first copy claimed in
     # an earlier block.
@@ -627,6 +638,64 @@ def test_claim_near_ties_match_greedy_oracle(n, p, corner):
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
     assert ties >= 1
+
+
+def _screen_argmin(sample, points):
+    """Each point's best row by the float32 screening score alone."""
+    lhs = np.hstack([-2.0 * points, np.ones((len(points), 1))]).astype(np.float32)
+    return np.argmin(lhs @ sample[1], axis=1)
+
+
+@pytest.mark.parametrize("n, p", [
+    pytest.param(2000, 3, id="p3-one-block"),
+    pytest.param(SEVEN_POINT_BLOCK_N, 10, id="p10-block-boundaries"),
+])
+def test_claim_micro_spread_matches_greedy_oracle(n, p):
+    # 40 rows within ~1e-6 of each design point: their squared distances
+    # differ by ~1e-12, far below the float32 score's rounding, so the screen
+    # alone misorders them and only the float64 re-rank orders them right.
+    # Each point comes twice, so the repeat must skip its first copy's row.
+    rng = np.random.default_rng(51)
+    r = 30
+    points = np.tile(rng.uniform(-0.9, 0.9, (r // 2, p)), (2, 1))
+    near = np.repeat(points, 40, axis=0) + 1e-6 * rng.standard_normal((40 * r, p))
+    far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
+    X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
+    sample = _scaled_sample(X)
+    indices, dists = _claim_nearest(sample, points)
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+    exact = [int(np.argmin(((sample[0].T - q) ** 2).sum(axis=1))) for q in points]
+    assert np.count_nonzero(_screen_argmin(sample, points) != exact) >= r // 2
+
+
+def test_claim_past_one_outlier_matches_greedy_oracle(monkeypatch):
+    # one row at 100 times the bulk's largest magnitude in every column packs
+    # the bulk into a corner of the cube, where the screen's tolerance, set by the largest norm, spans
+    # hundreds of bulk rows per point; all of them go through the re-rank
+    rng = np.random.default_rng(52)
+    n, r = 3000, 30
+    bulk = rng.standard_normal((n - 1, 3))
+    X = np.vstack([bulk, 100.0 * np.abs(bulk).max(axis=0)])[rng.permutation(n)]
+    sample = _scaled_sample(X)
+    central = np.flatnonzero(np.abs(X).max(axis=1) < 1.0)
+    points = sample[0][:, rng.choice(central, r, replace=False)].T
+    points += 1e-3 * rng.standard_normal(points.shape)
+    flatnonzero, sizes = np.flatnonzero, []
+
+    def counting_flatnonzero(a):
+        found = flatnonzero(a)
+        sizes.append(found.size)
+        return found
+
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    indices, dists = _claim_nearest(sample, points)
+    monkeypatch.undo()
+    assert len(sizes) == r and min(sizes) > 100
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
 
 
 def _select(method, X, r, theta, rng):
