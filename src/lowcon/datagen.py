@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSample, DimensionTooSmall
-from .linalg import _require_int
+from .linalg import _require_int, _require_noise_scale
 
 DISTRIBUTIONS = ("D1", "D2", "D3")
 MISSPECIFICATIONS = ("H1", "H2", "H3", "H4", "H5")
@@ -56,12 +56,6 @@ def beta_layout(p: int) -> np.ndarray:
     beta[:k] = 1.0
     beta[p - k:] = 1.0
     return beta
-
-
-def _require_noise_scale(value, name: str) -> None:
-    """The noise arguments' one check: a finite value >= 0, named on error."""
-    if not 0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _student_t_rows(

@@ -16,6 +16,7 @@ from .exceptions import AssumptionViolated
 from .linalg import (
     _as_matrix,
     _require_full_rank,
+    _require_noise_scale,
     _svd_full_rank,
     _weighted_solve,
     least_squares,
@@ -85,8 +86,7 @@ def mse_decompose(X_sub, h_sub, sigma2: float) -> MseReport:
     solve of h against X.
     """
     X_sub = _as_matrix(X_sub)
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative")
+    _require_noise_scale(sigma2, "sigma2")
     h = np.asarray(h_sub, dtype=np.float64).reshape(-1)
     if h.shape[0] != X_sub.shape[0]:
         raise ValueError("h_sub length must match the subsample size")
@@ -111,8 +111,7 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
     X_sub = _as_matrix(X_sub)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative")
+    _require_noise_scale(sigma2, "sigma2")
     u, s, _ = _svd_full_rank(X_sub, "worst_case_mse")
     trace = float(np.sum(s**2))
     direction = u[:, -1]
@@ -174,8 +173,7 @@ def design_mse_bound(L, sigma2: float, alpha: float) -> float:
     use :func:`weyl_kappa_bound` and :func:`trace_inv_bound` instead.
     """
     L = _as_matrix(L)
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be nonnegative")
+    _require_noise_scale(sigma2, "sigma2")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     s = np.linalg.svd(L, compute_uv=False)
@@ -197,7 +195,12 @@ def fit_huber_m(X, y) -> HuberFit:
     """
     X = _as_matrix(X)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    beta = least_squares(X, y)
+    return _huber_irls(X, y, least_squares(X, y))
+
+
+def _huber_irls(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> HuberFit:
+    """:func:`fit_huber_m`'s IRLS loop from ``beta``, the OLS fit of the
+    checked float64 X and y, for a caller that has solved it already."""
     for it in range(1, _HUBER_MAX_ITER + 1):
         resid = y - X @ beta
         abs_resid = np.abs(resid)

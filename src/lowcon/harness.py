@@ -15,11 +15,14 @@ any other package error recurs on the same data, so it is not retried. A
 cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
 The samplers see each X as one prepared sample, which keeps what they derive
-from X alone (the scaled sample with its squared row norms, theta box,
-leverage, IBOSS picks). Simulate and toy build one per (r, replicate,
-attempt) for all methods; emse one per run. The first method in
+from X alone (the scaled sample and its float32 screen, theta box, leverage,
+IBOSS picks). Simulate and toy build one per (r, replicate, attempt) for all
+methods, since every draw is new data. Emse reads the one a :class:`Dataset`
+keeps, with its surrogate fits, from the first run on that dataset to its
+last: 8pn + 4(p+1)n + 8n bytes plus the IBOSS picks. The first method in
 ``config.methods`` that needs a kept field builds it in its own timed call,
-so per-method ``mean_runtime_ms`` depends on that order.
+so per-method ``mean_runtime_ms`` depends on that order and, in emse, on
+whether an earlier run on the dataset built it already.
 
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
@@ -43,8 +46,8 @@ from . import datagen
 from .datagen import DISTRIBUTIONS, MISSPECIFICATIONS, beta_layout
 from .estimators import (
     _extreme_singulars,
+    _huber_irls,
     _perturbation_bounds,
-    fit_huber_m,
     fit_sls,
     worst_case_mse,
 )
@@ -213,12 +216,70 @@ class ResultRow:
     mean_runtime_ms: float = field(compare=False, default=np.nan)
 
 
+def _with_intercept(M: np.ndarray) -> np.ndarray:
+    """M with a leading column of ones: the EMSE fit design of its rows."""
+    return np.column_stack([np.ones(M.shape[0]), M])
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """A real dataset: a read-only snapshot of its inputs, which keeps what
+    :func:`run_emse` derives from them.
+
+    ``X_raw`` (n x p) and ``y`` (n entries, or None) are stored as the
+    dataset's own C-contiguous float64 copies, marked read-only, so what is
+    kept cannot go stale: neither the dataset nor a later run sees a write to
+    the arrays it was built from. ``X_raw`` must be a finite 2-d matrix with
+    at least one row and one column, and ``y``, when given, finite with one
+    entry per row; each failure raises ``ValueError`` naming the cause.
+
+    The first ``run_emse`` on a dataset builds, and every later one reuses:
+
+    * the EMSE_OLS and EMSE_M surrogates, p + 1 coefficients each, from one
+      OLS solve of the intercept design, which is dropped once both are fit;
+    * the samplers' prepared sample: LOWCON's scaled sample and float32
+      screen (8pn + 4(p+1)n bytes) and box per theta, the leverages (8n
+      bytes) and the IBOSS selection per r (r indices each), or the package
+      error a build raised.
+
+    They live as long as the dataset.
+    """
+
     name: str
     X_raw: np.ndarray
     y: np.ndarray | None
     dropped_rows: int = 0
+
+    def __post_init__(self):
+        X = np.array(self.X_raw, dtype=np.float64, order="C")
+        try:
+            sample = _Prepared(X)  # the package's matrix check
+        except ValueError as exc:
+            raise ValueError(f"X_raw: {exc}") from None
+        X.flags.writeable = False
+        object.__setattr__(self, "X_raw", X)
+        object.__setattr__(self, "_sample", sample)
+        object.__setattr__(self, "_surrogates", None)
+        if self.y is None:
+            return
+        y = np.array(self.y, dtype=np.float64, order="C").reshape(-1)
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(
+                f"y has {y.shape[0]} entries, expected one per row of X_raw ({X.shape[0]})")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y entries must be finite")
+        y.flags.writeable = False
+        object.__setattr__(self, "y", y)
+
+    def _surrogate_fits(self) -> dict:
+        """The full-sample fits, with intercept, that EMSE scores against:
+        OLS and Huber-M from one OLS solve, built on first use and kept."""
+        if self._surrogates is None:
+            Z = _with_intercept(self.X_raw)
+            ols = least_squares(Z, self.y)
+            object.__setattr__(self, "_surrogates", {
+                "EMSE_OLS": ols, "EMSE_M": _huber_irls(Z, self.y, ols).beta})
+        return self._surrogates
 
 
 class HiddenResponses:
@@ -427,6 +488,13 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     accumulates. The intercept column is appended after subsampling, so the
     selection itself sees only the informative predictors.
 
+    The surrogates and the prepared sample are the ones ``dataset`` keeps
+    for as long as it lives, 8pn + 4(p+1)n + 8n bytes plus the IBOSS picks
+    (see :class:`Dataset`): the first run on it builds them, charging each
+    sampler build to the first method in ``config.methods`` that needs it,
+    and later runs reuse them, so they return the rows a fresh dataset
+    would give, in less time.
+
     Without ``r_list`` the grid is 2pk (k = 1..5) for the dataset's p. Every
     r must exceed the dataset's p and be at most its n; with IBOSS it must
     be at least 2p, and with LOWCON below n.
@@ -438,21 +506,11 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
         raise ConfigError(f"run_emse expects realdata mode, got {config.mode}")
     if dataset.y is None:
         raise ConfigError("EMSE needs a dataset with a response column")
-    X = np.asarray(dataset.X_raw, dtype=np.float64)
-    y_full = np.asarray(dataset.y, dtype=np.float64)
-    n, p = X.shape
+    n, p = dataset.X_raw.shape
     if config.r_list is None:
         config = dataclasses.replace(config, r_list=_default_r_list(p))
     _check_r_list(config.r_list, n, p, config.methods)
-
-    def with_intercept(M):
-        return np.column_stack([np.ones(M.shape[0]), M])
-
-    surrogates = {
-        "EMSE_OLS": least_squares(with_intercept(X), y_full),
-        "EMSE_M": fit_huber_m(with_intercept(X), y_full).beta,
-    }
-    data = (_Prepared(X), y_full, surrogates, with_intercept)
+    data = (dataset._sample, dataset.y, dataset._surrogate_fits(), _with_intercept)
     return _run_cells(config, (dataset.name,), (_DIST_CODE["REAL"], 0),
                       lambda r, i, attempt: data, dict(dist=dataset.name, n=n, p=p),
                       range(config.replicates))
@@ -594,12 +652,8 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     dropped += read - data.shape[0]
     if not data.shape[0]:
         raise EmptyAfterFiltering(f"no complete rows in {path.name}")
-    return Dataset(
-        name=path.stem,
-        X_raw=np.ascontiguousarray(data[:, 1:]),
-        y=np.ascontiguousarray(data[:, 0]),
-        dropped_rows=dropped,
-    )
+    # column views: the Dataset makes its own contiguous copies
+    return Dataset(name=path.stem, X_raw=data[:, 1:], y=data[:, 0], dropped_rows=dropped)
 
 
 _CSV_FIELDS = [f.name for f in dataclasses.fields(ResultRow)

@@ -1,11 +1,12 @@
 """Dense linear-algebra primitives shared by every other module.
 
-This module owns four rules that the rest of the package calls rather than
-restates: the size check (an integer, not a bool), the matrix check (2-d,
-non-empty, finite), the rank rule (one machine-precision-scaled cutoff, so
-every caller agrees on what "rank deficient" means) and the weighted
-least-squares solve. All routines work from an orthogonal factorization
-(SVD); nothing here forms an explicit matrix inverse.
+This module owns five rules that the rest of the package calls rather than
+restates: the size check (an integer, not a bool), the noise-scale check (a
+finite value >= 0), the matrix check (2-d, non-empty, finite), the rank rule
+(one machine-precision-scaled cutoff, so every caller agrees on what "rank
+deficient" means) and the weighted least-squares solve. All routines work
+from an orthogonal factorization (SVD); nothing here forms an explicit
+matrix inverse.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def _require_int(value, name: str) -> None:
     integers count, a bool and an integral float do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+
+
+def _require_noise_scale(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a noise variance or
+    standard deviation: finite and >= 0, so nan, inf and negatives fail."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _as_matrix(X) -> np.ndarray:

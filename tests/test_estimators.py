@@ -45,6 +45,18 @@ def test_range_checks_reject_nan_and_negative(call, message, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0],
+                         ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda v: mse_decompose(_X3, np.zeros(3), sigma2=v),
+    lambda v: worst_case_mse(_X3, sigma2=v, alpha=1.0),
+    lambda v: design_mse_bound(_X3, sigma2=v, alpha=1.0),
+], ids=["mse_decompose", "worst_case_mse", "design_mse_bound"])
+def test_sigma2_must_be_finite_and_nonnegative(call, bad):
+    with pytest.raises(ValueError, match="sigma2 must be finite and nonnegative"):
+        call(bad)
+
+
 class TestFitSls:
     def test_identity_design(self):
         y = np.array([2.0, -1.0, 4.0])

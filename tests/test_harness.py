@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,9 @@ from lowcon import (
     ExperimentConfig,
     HiddenResponses,
     diagnose,
+    fit_huber_m,
     ingest_csv,
+    least_squares,
     load_config,
     misspec_values,
     run_emse,
@@ -26,6 +29,7 @@ from lowcon import (
     worst_case_mse,
     write_result_csv,
 )
+from synthetic import soil_like_dataset
 
 ALL_METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
 
@@ -254,11 +258,10 @@ class TestRunEmse:
 
     def test_non_finite_response_named(self):
         data = planted_dataset(n=100)
-        data.y[7] = np.nan
-        cfg = ExperimentConfig(mode="realdata", r_list=(30,), replicates=1,
-                               methods=("UNIF",))
+        y = data.y.copy()
+        y[7] = np.nan
         with pytest.raises(ValueError, match="y entries must be finite"):
-            run_emse(data, cfg)
+            Dataset(name="planted", X_raw=data.X_raw, y=y)
 
     def test_reports_both_surrogates(self):
         data = planted_dataset(n=100)
@@ -313,6 +316,12 @@ class TestRunEmse:
             assert np.isnan(res.row("LOWCON", 300, tag).mse)
         # the error recurs on the same data, so no replicate is retried
         assert res.response_reads[("rare", "LOWCON", 300)] == [0, 0]
+        # the dataset keeps the error: a second run fails the same cells
+        # with the same message
+        again = run_emse(data, cfg)
+        assert again == res
+        assert again._last_error == res._last_error
+        assert res._last_error.startswith("DegenerateBox: columns [1] have a zero-width")
 
     def test_response_reads_count_every_attempt(self, tmp_path, monkeypatch):
         # a 0/1 predictor with 30 ones in 3000 rows: a UNIF draw of 40 rows
@@ -335,24 +344,34 @@ class TestRunEmse:
     @pytest.mark.parametrize("rare", [False, True], ids=["good", "rare-column"])
     def test_scaling_and_box_once_per_run(self, monkeypatch, rare):
         # the data of test_degenerate_box_fails_only_its_cell, and the same
-        # shape without its rare 0/1 column: every replicate and r reuses one
-        # scaling and one box, or the one DegenerateBox it raised
+        # shape without its rare 0/1 column: every replicate, r and run on
+        # one dataset reuses one scaling, one box per theta (or the one
+        # DegenerateBox it raised), one leverage SVD, one IBOSS pick per r
+        # and one surrogate OLS solve
         rng = np.random.default_rng(2)
         a = rng.standard_normal(1000)
         b = (np.arange(1000) < 5).astype(float) if rare else rng.standard_normal(1000)
         y = a + b + 0.1 * rng.standard_normal(1000)
         data = Dataset(name="rare", X_raw=np.column_stack([a, b]), y=y)
         calls = []
-        for name in ("_scale_rows", "_theta_rows"):
-            real = getattr(samplers, name)
-            monkeypatch.setattr(samplers, name, lambda *args, name=name, real=real:
-                                calls.append(name) or real(*args))
+        for module, name in ((samplers, "_scale_rows"), (samplers, "_theta_rows"),
+                             (samplers, "leverage_scores"), (samplers, "_iboss"),
+                             (harness, "least_squares")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(
+                (name, *(v for v in args if np.isscalar(v)))) or real(*args))
         cfg = ExperimentConfig(mode="realdata", r_list=(200, 300), replicates=3,
                                seed=0, methods=ALL_METHODS)
         res = run_emse(data, cfg)
-        assert sorted(calls) == ["_scale_rows", "_theta_rows"]
-        lowcon_failed = [c for c in res.failed_cells if c[1] == "LOWCON"]
-        assert len(lowcon_failed) == (2 if rare else 0)
+        again = run_emse(data, dataclasses.replace(
+            cfg, r_list=(400, 300), theta=2.0, seed=1, methods=ALL_METHODS[::-1]))
+        assert sorted(calls) == [
+            ("_iboss", 200), ("_iboss", 300), ("_iboss", 400), ("_scale_rows",),
+            ("_theta_rows", 1.0), ("_theta_rows", 2.0), ("least_squares",),
+            ("leverage_scores",)]
+        for result in (res, again):
+            lowcon_failed = [c for c in result.failed_cells if c[1] == "LOWCON"]
+            assert len(lowcon_failed) == (2 if rare else 0)
 
     def test_default_r_grid_from_dataset_p(self):
         rng = np.random.default_rng(9)
@@ -376,6 +395,72 @@ class TestRunEmse:
         for m in methods:
             assert res.row(m, 8, "EMSE_OLS").replicate_count == 2
             assert res.response_reads[("d", m, 8)] == [8, 8]
+
+    def test_rerun_on_kept_state_matches_fresh_datasets(self, tmp_path):
+        # each run on one dataset gives the rows and CSV bytes the same
+        # config gives on a fresh dataset built from copies of the arrays
+        data = planted_dataset(n=800)
+        cfgs = [
+            ExperimentConfig(mode="realdata", r_list=(12, 30), replicates=2,
+                             seed=3, methods=ALL_METHODS),
+            ExperimentConfig(mode="realdata", r_list=(40, 12), replicates=3, theta=5.0,
+                             seed=4, methods=ALL_METHODS[::-1]),
+        ]
+        for k, cfg in enumerate(cfgs):
+            kept = run_emse(data, cfg)
+            fresh = run_emse(Dataset(name="planted", X_raw=data.X_raw.copy(),
+                                     y=data.y.copy()), cfg)
+            assert kept == fresh
+            write_result_csv(kept.rows, tmp_path / f"kept{k}.csv")
+            write_result_csv(fresh.rows, tmp_path / f"fresh{k}.csv")
+            assert (tmp_path / f"kept{k}.csv").read_bytes() == \
+                (tmp_path / f"fresh{k}.csv").read_bytes()
+
+    def test_surrogates_bit_equal_to_direct_fits(self):
+        # heavy-tailed noise, so IRLS runs past its first step
+        data = soil_like_dataset()
+        cfg = ExperimentConfig(mode="realdata", r_list=(20,), replicates=1,
+                               methods=("UNIF",))
+        run_emse(data, cfg)
+        Z = np.column_stack([np.ones(data.X_raw.shape[0]), data.X_raw])
+        huber = fit_huber_m(Z, data.y)
+        assert huber.iterations > 1
+        kept = data._surrogate_fits()
+        assert np.array_equal(kept["EMSE_OLS"], least_squares(Z, data.y))
+        assert np.array_equal(kept["EMSE_M"], huber.beta)
+
+    def test_dataset_is_a_read_only_snapshot(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((300, 2))
+        y = X.sum(axis=1) + rng.standard_normal(300)
+        X0, y0 = X.copy(), y.copy()
+        data = Dataset(name="snap", X_raw=X, y=y)
+        for target in (data.X_raw, data.y):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+        cfg = ExperimentConfig(mode="realdata", r_list=(20,), replicates=2,
+                               methods=ALL_METHODS)
+        before = run_emse(data, cfg)
+        X[:] = 7.0
+        y[:] = -3.0
+        assert np.array_equal(data.X_raw, X0) and np.array_equal(data.y, y0)
+        assert data.X_raw.flags.c_contiguous
+        assert run_emse(data, cfg) == before
+
+    @pytest.mark.parametrize("X_raw, y, message", [
+        (np.ones(5), None, r"X_raw: expected a 2-d matrix, got shape \(5,\)"),
+        (np.ones((2, 3, 1)), None, r"X_raw: expected a 2-d matrix, got shape \(2, 3, 1\)"),
+        (np.ones((0, 2)), None, r"X_raw: expected a 2-d matrix, got shape \(0, 2\)"),
+        (np.ones((4, 0)), None, r"X_raw: expected a 2-d matrix, got shape \(4, 0\)"),
+        ([[1.0, np.nan], [2.0, 3.0]], None, "X_raw: matrix entries must be finite"),
+        ([[1.0, np.inf], [2.0, 3.0]], None, "X_raw: matrix entries must be finite"),
+        (np.ones((4, 2)), np.ones(3), r"y has 3 entries, expected one per row of X_raw \(4\)"),
+        (np.ones((4, 2)), [1.0, 2.0, -np.inf, 0.0], "y entries must be finite"),
+    ], ids=["X-1d", "X-3d", "X-no-rows", "X-no-columns", "X-nan", "X-inf",
+            "y-short", "y-inf"])
+    def test_dataset_rejects_bad_inputs(self, X_raw, y, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(name="bad", X_raw=X_raw, y=y)
 
     def test_requires_response(self):
         data = planted_dataset(n=50)
