@@ -19,7 +19,7 @@ from .linalg import _require_int
 DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
 _SWAPS_PER_ENTRY = 200  # the descent's swap cap is this many per entry of L
-_SWAP_BLOCK_ROWS = 64  # rows a per block of swap scores and of D2's build
+_SWAP_BLOCK_ROWS = 64  # rows a per block of swap scores
 _MAX_D2_BYTES = 2 * 2**30  # the descent's r x r D2 may take this much: r <= 16384
 
 
@@ -110,22 +110,26 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     return DesignMatrix(_random_lhd_points(r, p, rng))
 
 
-def _swap_scratch(L: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """D2 and the scratch of one descent for ``_best_swap``.
+def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """D2 and the scratch of one descent for ``_best_swap``, on the integer
+    design C = r L.
 
-    D2[a, b] = ||L[b] - L[a]||^2 is summed column by column from the direct
-    differences (not from L @ L.T, whose norms would cancel), one block of
-    ``_SWAP_BLOCK_ROWS`` rows a at a time, through the first score buffer:
-    each block sums its columns b >= a0 and mirrors the part past its own
-    rows, since (x_b - x_a)^2 == (x_a - x_b)^2 makes D2 exactly symmetric.
-    The scratch is contiguous vectors x and w of length r, and per row block
-    [a0, a1) the views it scores with, (a0, x_a, x_b, w_a, w_b, D2[a0:a1,
-    a0:], d, t, u). d, t and u are (a1 - a0) x (r - a0) views of three flat
-    buffers of ``_SWAP_BLOCK_ROWS * r`` floats, so each block's scores are
-    contiguous. D2 is only updated in place, so its views stay valid for the
-    whole descent."""
-    r = L.shape[0]
-    D2 = np.zeros((r, r))
+    D2[a, b] = ||C[b] - C[a]||^2 is built as n_a + n_b - 2 C[a].C[b] from
+    one GEMM and the squared row norms n. Each term is an integer below
+    4 p r^2, far inside float64's exact range, so D2 is exact and exactly
+    symmetric in any BLAS summation order, with or without FMA. The scratch
+    is contiguous vectors x and w of length r, and per row block [a0, a1) of
+    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, x_a, x_b, w_a,
+    w_b, D2[a0:a1, a0:], d, t, u). d, t and u are (a1 - a0) x (r - a0) views
+    of three flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, so each
+    block's scores are contiguous. D2 is only updated in place, so its views
+    stay valid for the whole descent."""
+    r = C.shape[0]
+    nn = (C * C).sum(axis=1)
+    D2 = C @ C.T
+    D2 *= -2.0
+    D2 += nn[:, None]
+    D2 += nn
     x, w = np.empty(r), np.empty(r)
     bufs = np.empty((3, _SWAP_BLOCK_ROWS * r))
     blocks = []
@@ -133,55 +137,46 @@ def _swap_scratch(L: np.ndarray) -> tuple[np.ndarray, tuple]:
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
         shape = (a1 - a0, r - a0)
         d, t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        for col in L.T:
-            np.subtract(col[a0:], col[a0:a1, None], out=d)
-            np.multiply(d, d, out=d)
-            D2[a0:a1, a0:] += d
-        D2[a1:, a0:a1] = D2[a0:a1, a1:].T
         blocks.append((a0, x[a0:a1, None], x[None, a0:], w[a0:a1, None],
                        w[None, a0:], D2[a0:a1, a0:], d, t, u))
     return D2, (x, w, blocks)
 
 
 def _best_swap(
-    L: np.ndarray, j: int, G: np.ndarray, scratch: tuple
-) -> tuple[int, int, float, float]:
-    """The best swap of column j as (a, b, rss_ab, g.g), where rss_ab is the
-    off-diagonal sum of squares of Gram row j after swapping L[a, j] and
-    L[b, j] and g.g is its current value. ``G`` is L.T @ L and ``scratch``
-    is ``_swap_scratch(L)[1]``.
+    C: np.ndarray, j: int, G: np.ndarray, scratch: tuple
+) -> tuple[int, int, float]:
+    """The best swap of column j of the integer design C as (a, b, delta),
+    where delta is the change in the off-diagonal sum of squares of Gram row
+    j when C[a, j] and C[b, j] trade places. ``G`` is C.T @ C and
+    ``scratch`` is ``_swap_scratch(C)[1]``.
 
     Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
-    b >= the block's first row. rss is bit-symmetric in (a, b), so the first
-    row-major minimum over all r^2 pairs has b >= a and lies in one of the
-    blocks; keeping the first strict minimum across blocks returns that
-    pair. With w = 2 v, the term d_ab (w_b - w_a) is bit-equal to
-    (2 d_ab)(v_b - v_a): doubling is exact in binary floating point, so
-    every score rounds as in ``_descend_correlations``' closed form, exact
-    ties included. The scores go into the scratch buffers, 3 *
+    b >= the block's first row. delta is exactly symmetric in (a, b), so the
+    first row-major minimum over all r^2 pairs has b >= a and lies in one of
+    the blocks; keeping the first strict minimum across blocks returns that
+    pair. Where the scores are exact (see ``_descend_correlations``), ties
+    go to that first pair. The scores go into the scratch buffers, 3 *
     _SWAP_BLOCK_ROWS * r floats (600 KiB at r = 400); a call allocates only
     O(r)."""
     x, w, blocks = scratch
     g = G[j].copy()
     g[j] = 0.0
-    gg = g @ g
-    x[:] = L[:, j]
-    np.multiply(L @ g, 2.0, out=w)
+    x[:] = C[:, j]
+    np.multiply(C @ g, 2.0, out=w)
     best = (0, 0, np.inf)
     for a0, xa, xb, wa, wb, D2ab, d, t, u in blocks:
         np.subtract(xb, xa, out=d)
         np.subtract(wb, wa, out=t)
         np.multiply(d, t, out=u)
-        np.subtract(gg, u, out=u)
         np.multiply(d, d, out=d)
         np.subtract(D2ab, d, out=t)
         np.multiply(d, t, out=t)
-        np.add(u, t, out=u)
+        np.subtract(t, u, out=u)
         k = int(u.argmin())
         da, db = divmod(k, u.shape[1])
         if u[da, db] < best[2]:
             best = (a0 + da, a0 + db, float(u[da, db]))
-    return (*best, float(gg))
+    return best
 
 
 def _descend_correlations(
@@ -194,62 +189,72 @@ def _descend_correlations(
     ``max_swaps`` accepted swaps, or when a full sweep over columns accepts no
     swap. Returns (L, kappa, swaps).
 
-    Each column step j scores all r^2 swaps in closed form. With g = G[j],
-    g[j] = 0, v = L @ g, d_ab = L[b, j] - L[a, j] and D2_ab = ||L_b - L_a||^2,
-    swapping rows a and b of column j turns G[j, k] into g_k - d_ab (L[b, k] -
-    L[a, k]) for k != j, so the new off-diagonal sum of squares is
+    The descent runs on C = r L, whose entries are the odd integers
+    2k - 1 - r, held exactly in float64; the returned L is C / r, bit-equal
+    to ``lhd_levels(r)``. With G = C.T C, g = G[j], g[j] = 0, w = 2 C g,
+    d_ab = C[b, j] - C[a, j] and D2_ab = ||C_b - C_a||^2, swapping rows a
+    and b of column j turns G[j, k] into g_k - d_ab (C[b, k] - C[a, k]) for
+    k != j, so the off-diagonal sum of squares of row j changes by
 
-        rss_ab = g.g - 2 d_ab (v_b - v_a) + d_ab^2 (D2_ab - d_ab^2).
+        delta_ab = d_ab^2 (D2_ab - d_ab^2) - d_ab (w_b - w_a),
+
+    and a step accepts its best swap iff delta < 0. A no-op (a, a) has
+    d = 0 and scores exactly 0, so it is never accepted.
+
+    The scores are integers, exact while every intermediate stays below
+    2^53. Since |C| < r and each column's squares sum to r (r^2 - 1) / 3,
+    Cauchy-Schwarz gives |g_k| < r^3 / 3, so |w_a| < 2 p r^4 / 3; with
+    |d| < 2 r, |d (w_b - w_a)| < 8 p r^5 / 3, and 0 <= d^2 (D2 - d^2) <
+    16 p r^4. Every partial sum and product is bounded by these, and for
+    r >= 3 their sum stays below 8 p r^5, so the scores, and every tie, are
+    exact when 8 p r^5 <= 2^53: r <= 562 at p = 20, r <= 646 at p = 10.
+    Past that range a score may round (a random start at r = 2000, p = 20
+    reaches |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does;
+    a no-op still scores 0 and the swap cap still binds.
 
     ``_best_swap`` scores only the pairs b >= a, plus each row block's small
     lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
     call in O(r^2 p); an accepted swap changes only its rows and columns a
-    and b, an O(r) update. The scores are computed as d_ab (w_b - w_a) with
-    w = 2 v, bit-equal to the 2 d_ab (v_b - v_a) above since doubling is
-    exact, into buffers allocated once per call. Memory is bounded by
-    8 r^2 bytes for D2 plus 3 * _SWAP_BLOCK_ROWS * r floats of scratch
-    (600 KiB at r = 400) plus O(r). A start that needs a descent raises
-    ``InfeasibleDesign`` before D2 is allocated when 8 r^2 exceeds
-    ``_MAX_D2_BYTES`` (2 GiB, i.e. r > 16384); a start already at the target
-    returns first, whatever r is."""
-    p = L.shape[1]
-    G = L.T @ L
+    and b, an O(r) update. Memory is bounded by 8 r^2 bytes for D2 plus
+    3 * _SWAP_BLOCK_ROWS * r floats of scratch (600 KiB at r = 400) plus
+    O(rp). A start that needs a descent raises ``InfeasibleDesign`` before
+    D2 is allocated when 8 r^2 exceeds ``_MAX_D2_BYTES`` (2 GiB, i.e.
+    r > 16384); a start already at the target returns first, whatever r
+    is."""
+    r, p = L.shape
+    C = np.rint(L * r)
+    G = C.T @ C
     kap = _gram_kappa(G)
-    swaps = 0
     if kap <= kappa_target or max_swaps <= 0:
-        return L, kap, swaps
-    r = L.shape[0]
+        return L, kap, 0
     if 8 * r * r > _MAX_D2_BYTES:
         raise InfeasibleDesign(
             f"r={r}, p={p}: the OLHD descent needs {8 * r * r} bytes for its "
             f"{r}x{r} distance matrix, past the bound of {_MAX_D2_BYTES} bytes"
         )
-    D2, scratch = _swap_scratch(L)
+    D2, scratch = _swap_scratch(C)
+    swaps = 0
     improved = True
-    while improved:
+    while improved and kap > kappa_target and swaps < max_swaps:
         improved = False
         for j in range(p):
-            a, b, rss_ab, gg = _best_swap(L, j, G, scratch)
-            # a no-op (a, a) "swap" scores g.g exactly, so it can never pass
-            # this test and keep a sweep at a local optimum from ending.
-            if rss_ab < gg - 1e-15:
-                x = L[:, j]
-                delta = (x[b] - x) ** 2 - (x[a] - x) ** 2
-                delta[[a, b]] = 0.0
-                D2[a] += delta
-                D2[b] -= delta
+            a, b, delta = _best_swap(C, j, G, scratch)
+            if delta < 0:
+                x = C[:, j]
+                change = (x[b] - x) ** 2 - (x[a] - x) ** 2
+                change[[a, b]] = 0.0
+                D2[a] += change
+                D2[b] -= change
                 D2[:, a] = D2[a]
                 D2[:, b] = D2[b]
-                L[a, j], L[b, j] = L[b, j], L[a, j]
-                Gj = L.T @ L[:, j]
-                G[j, :] = Gj
-                G[:, j] = Gj
+                C[a, j], C[b, j] = C[b, j], C[a, j]
+                G[j, :] = G[:, j] = C.T @ C[:, j]
                 improved = True
                 swaps += 1
                 kap = _gram_kappa(G)
                 if kap <= kappa_target or swaps == max_swaps:
-                    return L, kap, swaps
-    return L, kap, swaps
+                    break
+    return C / r, kap, swaps
 
 
 def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
@@ -258,7 +263,10 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     Runs the swap descent, capped at 200 r p swaps, from up to 20 random LHD
     starts and returns the first design with ``kappa <= DEFAULT_KAPPA_TARGET``,
     or the lowest-kappa candidate seen if the target is never reached (the
-    achieved kappa is always reported on the result, never hidden).
+    achieved kappa is always reported on the result, never hidden). Each
+    descent step takes the swap of least score, ties to the first row-major
+    pair; the scores are exact integers while 8 p r^5 <= 2^53 (r <= 562 at
+    p = 20), see ``_descend_correlations``.
 
     Raises
     ------

@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import AssumptionViolated
 from .linalg import (
     _as_matrix,
+    _require_alpha,
     _require_full_rank,
     _require_noise_scale,
     _svd_full_rank,
@@ -109,8 +110,7 @@ def worst_case_mse(X_sub, sigma2: float, alpha: float) -> WorstCase:
     range is ``inf``, and ``h_star`` then overflows quietly too.
     """
     X_sub = _as_matrix(X_sub)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     _require_noise_scale(sigma2, "sigma2")
     u, s, _ = _svd_full_rank(X_sub, "worst_case_mse")
     trace = float(np.sum(s**2))
@@ -174,8 +174,7 @@ def design_mse_bound(L, sigma2: float, alpha: float) -> float:
     """
     L = _as_matrix(L)
     _require_noise_scale(sigma2, "sigma2")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     s = np.linalg.svd(L, compute_uv=False)
     _require_full_rank(s, L.shape[0], L.shape[1], "design_mse_bound")
     p = L.shape[1]

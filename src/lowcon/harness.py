@@ -221,7 +221,7 @@ def _with_intercept(M: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(M.shape[0]), M])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A real dataset: a read-only snapshot of its inputs, which keeps what
     :func:`run_emse` derives from them.
@@ -242,7 +242,9 @@ class Dataset:
       bytes) and the IBOSS selection per r (r indices each), or the package
       error a build raised.
 
-    They live as long as the dataset.
+    They live as long as the dataset. Datasets compare and hash by identity:
+    two datasets holding equal arrays are still two datasets, each with its
+    own kept state.
     """
 
     name: str

@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives shared by every other module.
 
-This module owns five rules that the rest of the package calls rather than
+This module owns six rules that the rest of the package calls rather than
 restates: the size check (an integer, not a bool), the noise-scale check (a
-finite value >= 0), the matrix check (2-d, non-empty, finite), the rank rule
-(one machine-precision-scaled cutoff, so every caller agrees on what "rank
+finite value >= 0), the misspecification-scale check (a finite alpha > 0),
+the matrix check (2-d, non-empty, finite), the rank rule (one
+machine-precision-scaled cutoff, so every caller agrees on what "rank
 deficient" means) and the weighted least-squares solve. All routines work
 from an orthogonal factorization (SVD); nothing here forms an explicit
 matrix inverse.
@@ -32,6 +33,13 @@ def _require_noise_scale(value, name: str) -> None:
     standard deviation: finite and >= 0, so nan, inf and negatives fail."""
     if not 0 <= value < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _require_alpha(alpha) -> None:
+    """ValueError naming alpha unless it is a misspecification scale: finite
+    and > 0, so nan, inf, 0 and negatives fail."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
 def _as_matrix(X) -> np.ndarray:

@@ -57,6 +57,22 @@ def test_sigma2_must_be_finite_and_nonnegative(call, bad):
         call(bad)
 
 
+_BAD_ALPHA = pytest.mark.parametrize(
+    "bad", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+
+
+@_BAD_ALPHA
+def test_worst_case_mse_alpha_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        worst_case_mse(_X3, sigma2=1.0, alpha=bad)
+
+
+@_BAD_ALPHA
+def test_design_mse_bound_alpha_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        design_mse_bound(_X3, sigma2=1.0, alpha=bad)
+
+
 class TestFitSls:
     def test_identity_design(self):
         y = np.array([2.0, -1.0, 4.0])

@@ -263,6 +263,16 @@ class TestRunEmse:
         with pytest.raises(ValueError, match="y entries must be finite"):
             Dataset(name="planted", X_raw=data.X_raw, y=y)
 
+    def test_datasets_compare_and_hash_by_identity(self):
+        data = planted_dataset(n=100)
+        twin = Dataset(name="planted", X_raw=data.X_raw, y=data.y)
+        assert data == data and data != twin
+        assert len({data, twin, data}) == 2
+        cfg = ExperimentConfig(mode="realdata", n=101, p=3, r_list=(30,),
+                               replicates=2, seed=3, methods=("UNIF", "LOWCON"))
+        rows = run_emse(data, cfg).rows
+        assert rows == run_emse(twin, cfg).rows == run_emse(data, cfg).rows
+
     def test_reports_both_surrogates(self):
         data = planted_dataset(n=100)
         cfg = ExperimentConfig(
