@@ -16,10 +16,12 @@ cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
 The samplers see each X as one prepared sample, which keeps what they derive
 from X alone (the scaled sample and its float32 screen, theta box, leverage,
-IBOSS picks). Simulate and toy build one per (r, replicate, attempt) for all
-methods, since every draw is new data. Emse reads the one a :class:`Dataset`
-keeps, with its surrogate fits, from the first run on that dataset to its
-last: 8pn + 4(p+1)n + 8n bytes plus the IBOSS picks. The first method in
+leverage draw table per share alpha, IBOSS picks). Simulate and toy build one
+per (r, replicate, attempt) for all methods, since every draw is new data.
+Emse reads the one a :class:`Dataset` keeps, with its surrogate fits, from
+the first run on that dataset to its last: 8pn + 4(p+1)n + 8n bytes, plus
+16n per leverage draw table (BLEV builds alpha 1, which LEVUNW reuses, and
+SLEV builds 0.9), plus the IBOSS picks. The first method in
 ``config.methods`` that needs a kept field builds it in its own timed call,
 so per-method ``mean_runtime_ms`` depends on that order and, in emse, on
 whether an earlier run on the dataset built it already.
@@ -239,8 +241,10 @@ class Dataset:
       OLS solve of the intercept design, which is dropped once both are fit;
     * the samplers' prepared sample: LOWCON's scaled sample and float32
       screen (8pn + 4(p+1)n bytes) and box per theta, the leverages (8n
-      bytes) and the IBOSS selection per r (r indices each), or the package
-      error a build raised.
+      bytes), the leverage draw table per alpha, pi and its CDF (16n bytes
+      each; BLEV builds alpha 1, which LEVUNW reuses, and SLEV builds 0.9),
+      and the IBOSS selection per r (r indices each), or the package error a
+      build raised.
 
     They live as long as the dataset. Datasets compare and hash by identity:
     two datasets holding equal arrays are still two datasets, each with its
@@ -289,7 +293,9 @@ class HiddenResponses:
 
     ``reads`` counts every revealed entry (duplicates included), so a
     measurement-constrained run can assert it spent exactly r observations
-    per replicate per method.
+    per replicate per method. ``reveal`` takes row numbers of any integer
+    dtype, or an empty sequence; a bool mask or float indices raise
+    ``ValueError`` naming the dtype, and reveal nothing.
     """
 
     def __init__(self, values):
@@ -300,7 +306,10 @@ class HiddenResponses:
         return self._values.shape[0]
 
     def reveal(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        idx = np.asarray(indices).reshape(-1)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"reveal indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise IndexError("reveal index out of range")
         self.reads += int(idx.size)
@@ -491,11 +500,12 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     selection itself sees only the informative predictors.
 
     The surrogates and the prepared sample are the ones ``dataset`` keeps
-    for as long as it lives, 8pn + 4(p+1)n + 8n bytes plus the IBOSS picks
-    (see :class:`Dataset`): the first run on it builds them, charging each
-    sampler build to the first method in ``config.methods`` that needs it,
-    and later runs reuse them, so they return the rows a fresh dataset
-    would give, in less time.
+    for as long as it lives, 8pn + 4(p+1)n + 8n bytes plus 16n per leverage
+    draw table (BLEV builds alpha 1, which LEVUNW reuses, and SLEV 0.9) plus
+    the IBOSS picks (see :class:`Dataset`): the first run on it builds them,
+    charging each sampler build to the first method in ``config.methods``
+    that needs it, and later runs reuse them, so they return the rows a
+    fresh dataset would give, in less time.
 
     Without ``r_list`` the grid is 2pk (k = 1..5) for the dataset's p. Every
     r must exceed the dataset's p and be at most its n; with IBOSS it must

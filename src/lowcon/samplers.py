@@ -163,7 +163,10 @@ class _Prepared:
     ``keep`` builds what depends on X alone on first use and keeps it, or the
     package error it raised: the scaled sample as contiguous float64
     predictor rows plus its float32 screen with the squared row norms
-    (``_scaled_sample``), box per theta, leverages, IBOSS per r."""
+    (``_scaled_sample``, 8pn + 4(p+1)n bytes), box per theta, the leverages
+    (8n bytes), the leverage draw table per alpha (``_leverage_table``, 16n
+    bytes each: blev builds alpha 1, which levunw reuses, and slev 0.9) and
+    IBOSS per r."""
 
     def __init__(self, X):
         self.X = _as_matrix(X)
@@ -380,23 +383,42 @@ def unif(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
 _SLEV_ALPHA = 0.9
 
 
-def _leverage_probs(X, alpha: float) -> np.ndarray:
+def _leverage_table(X, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The draw table of leverage share alpha, read-only and kept per alpha:
+    pi = alpha h / sum(h) + (1 - alpha) / n, divided by its sum, and its CDF
+    ``cumsum(pi) / cumsum(pi)[-1]``, 16n bytes together. Both are built from
+    the kept leverages h on first use; blev builds alpha 1, which levunw
+    reuses, and slev builds 0.9."""
     sample = _prepare(X)
-    h = sample.keep("leverage", lambda: leverage_scores(sample.X))
-    pi = alpha * h / h.sum() + (1.0 - alpha) / sample.X.shape[0]
-    return pi / pi.sum()
+
+    def build():
+        h = sample.keep("leverage", lambda: leverage_scores(sample.X))
+        pi = alpha * h / h.sum() + (1.0 - alpha) / sample.X.shape[0]
+        pi /= pi.sum()
+        cdf = pi.cumsum()
+        cdf /= cdf[-1]
+        pi.flags.writeable = cdf.flags.writeable = False
+        return pi, cdf
+
+    return sample.keep(("leverage", alpha), build)
 
 
 def _leverage_draw(
     sample: _Prepared, r: int, rng: np.random.Generator, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    """r i.i.d. rows drawn with replacement from the kept table of leverage
+    share alpha, and that table's pi. The draw is ``Generator.choice``'s
+    with-replacement path, ``cdf.searchsorted(rng.random(r), side="right")``
+    on the CDF that choice would build from pi, so the rows and the rng state
+    after the draw equal those of choice with ``replace=True`` and that pi;
+    only choice's per-call check of pi and its rebuild of the CDF are
+    skipped."""
     _check_r(r)
     n = sample.X.shape[0]
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
-    pi = _leverage_probs(sample, alpha)
-    indices = np.asarray(rng.choice(n, size=r, replace=True, p=pi), dtype=np.intp)
-    return indices, pi
+    pi, cdf = _leverage_table(sample, alpha)
+    return cdf.searchsorted(rng.random(r), side="right"), pi
 
 
 def blev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:

@@ -156,6 +156,25 @@ class TestHiddenResponses:
         with pytest.raises(IndexError):
             hidden.reveal([5])
 
+    @pytest.mark.parametrize("indices, dtype", [
+        (np.array([True, False, True]), "bool"),
+        ([True, False, True], "bool"),
+        ([1.9], "float64"),
+        (np.array([0.0, 2.0], dtype=np.float32), "float32"),
+    ], ids=["bool-array", "bool-list", "float-list", "float32"])
+    def test_mask_or_float_indices_rejected_unread(self, indices, dtype):
+        hidden = HiddenResponses([10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match=rf"must be integers, got dtype {dtype}$"):
+            hidden.reveal(indices)
+        assert hidden.reads == 0
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.intp])
+    def test_any_integer_dtype_and_empty_accepted(self, dtype):
+        hidden = HiddenResponses([10.0, 20.0, 30.0])
+        assert np.array_equal(hidden.reveal(np.array([2, 0, 2], dtype=dtype)), [30.0, 10.0, 30.0])
+        assert hidden.reveal([]).shape == (0,)
+        assert hidden.reads == 3
+
 
 class TestRunSimulation:
     def test_noiseless_correct_model_is_exact(self):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -23,7 +24,8 @@ from lowcon import (
 from lowcon.samplers import (
     _CLAIM_BLOCK_BYTES,
     _claim_nearest,
-    _leverage_probs,
+    _leverage_draw,
+    _leverage_table,
     _Prepared,
     _scale_rows,
     _scaled_sample,
@@ -285,14 +287,14 @@ class TestBlev:
 
     def test_probabilities_normalized(self):
         X = np.random.default_rng(9).standard_normal((30, 3))
-        pi = _leverage_probs(X, alpha=1.0)
+        pi = _leverage_table(X, alpha=1.0)[0]
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(pi, leverage_scores(X) / 3.0, atol=1e-12)
 
     def test_draw_frequencies_match_pi(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((15, 2)) * np.array([1.0, 5.0])
-        pi = _leverage_probs(X, alpha=1.0)
+        pi = _leverage_table(X, alpha=1.0)[0]
         draws, r = 10_000, 4
         counts = np.zeros(15)
         for _ in range(draws):
@@ -326,13 +328,13 @@ class TestSlev:
 
     def test_small_alpha_near_uniform(self):
         X = np.random.default_rng(14).standard_normal((25, 2))
-        pi = _leverage_probs(X, alpha=1e-12)
+        pi = _leverage_table(X, alpha=1e-12)[0]
         assert np.allclose(pi, 1.0 / 25, atol=1e-10)
 
     def test_shrinkage_floor(self):
         X = np.random.default_rng(15).standard_normal((40, 3))
         alpha = 0.9
-        pi = _leverage_probs(X, alpha=alpha)
+        pi = _leverage_table(X, alpha=alpha)[0]
         assert np.all(pi >= (1 - alpha) / 40 - 1e-12)
 
 
@@ -358,6 +360,72 @@ class TestLevunw:
         fa = fit_sls(X[a.indices], y[a.indices], weights=a.weights)
         fb = fit_sls(X[b.indices], y[b.indices])
         assert not np.allclose(fa.beta, fb.beta)
+
+
+class TestLeverageDraw:
+    # the oracle: numpy's own weighted draw with replacement on pi as it was
+    # built per call before the tables were kept
+    @staticmethod
+    def oracle(X, r, alpha, rng):
+        h = leverage_scores(X)
+        pi = alpha * h / h.sum() + (1.0 - alpha) / X.shape[0]
+        pi = pi / pi.sum()
+        return np.asarray(rng.choice(X.shape[0], size=r, replace=True, p=pi), dtype=np.intp), pi
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_draw_is_numpys_choice_bit_for_bit(self, alpha, zeros):
+        meta = np.random.default_rng(70)
+        for n, r in [(1, 1), (2, 2), (5, 1), (7, 7), (40, 13), (300, 1), (300, 299), (2000, 50)]:
+            p = min(n, 3)
+            X = meta.standard_normal((n, p))
+            if zeros and n > p + 4:  # exact-zero leverage at both ends
+                X[:2] = X[-3:] = 0.0
+                assert np.count_nonzero(leverage_scores(X) == 0.0) > 0
+            seed = int(meta.integers(1 << 31))
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, pi = self.oracle(X, r, alpha, want_rng)
+            sample = _Prepared(X)
+            for _ in range(2):  # the built table, then the kept one
+                got, kept_pi = _leverage_draw(sample, r, got_rng, alpha)
+                assert same_bits(got, want), (n, r)
+                assert same_bits(1.0 / (r * kept_pi[got]), 1.0 / (r * pi[want])), (n, r)
+                assert got_rng.random() == want_rng.random(), (n, r)
+                want, pi = self.oracle(X, r, alpha, want_rng)
+
+    def test_public_weights_are_the_oracles(self):
+        X = np.random.default_rng(71).standard_t(3, (500, 4))
+        for sampler, alpha in ((blev, 1.0), (slev, 0.9)):
+            want, pi = self.oracle(X, 37, alpha, np.random.default_rng(72))
+            sel = sampler(X, 37, np.random.default_rng(72))
+            assert same_bits(sel.indices, want)
+            assert same_bits(sel.weights, 1.0 / (37 * pi[want]))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("BLEV", "SLEV", "LEVUNW"))))
+    def test_any_order_on_one_sample_matches_fresh_samples(self, order):
+        X = np.random.default_rng(73).standard_normal((400, 3)) * [1.0, 8.0, 0.1]
+        sample = _Prepared(X)
+        for k, m in enumerate(order * 2):
+            got = _select(m, sample, 25, 1.0, np.random.default_rng([74, k]))
+            want = _select(m, X.copy(), 25, 1.0, np.random.default_rng([74, k]))
+            assert same_bits(got.indices, want.indices), (order, k)
+            assert (got.weights is None) == (want.weights is None)
+            if got.weights is not None:
+                assert same_bits(got.weights, want.weights), (order, k)
+
+    def test_one_table_per_alpha_kept_read_only(self):
+        sample = _Prepared(np.random.default_rng(75).standard_normal((300, 3)))
+        blev(sample, 10, np.random.default_rng(0))
+        table = _leverage_table(sample, 1.0)
+        levunw(sample, 10, np.random.default_rng(0))
+        assert _leverage_table(sample, 1.0) is table
+        slev(sample, 10, np.random.default_rng(0))
+        shrunk = _leverage_table(sample, 0.9)
+        assert shrunk is not table and _leverage_table(sample, 0.9) is shrunk
+        for arr in table + shrunk:
+            assert arr.shape == (300,) and not arr.flags.writeable
+        pi, cdf = table
+        assert same_bits(cdf, pi.cumsum() / pi.cumsum()[-1])
 
 
 def iboss_oracle(X, r):
