@@ -239,6 +239,15 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray],
     ``s <= min(s) + tol``, compared in float32, are candidates, and they are
     ranked in float64 by the direct-difference expression on S.
 
+    Per point the step takes j, the first ``argmin`` of s (claimed rows
+    score inf), marks the rows with ``s <= s_j + tol`` in one n-byte mask
+    kept for the call, and counts them. Only a count above 1 lists the
+    candidates and re-ranks them. This is exact: s_j is min(s), so the
+    float32 threshold is the candidates' own, and a count of 1 means the
+    candidates are {j}, which the re-rank would return. The distances of
+    all r picks come from one pass of the re-rank's expression at the end,
+    which is that expression row by row, so they keep its bits.
+
     Why the true nearest row survives: let u = 2^-24 be float32's unit
     roundoff, eps = 2u, gamma_k = k u / (1 - k u), D = |x - q|^2 exactly
     for the float64 row x, d its direct float64 form and
@@ -268,14 +277,14 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray],
     the rows near q. Where one row lies far outside the bulk, scaling packs
     the bulk into a small corner of the cube, where tol spans many bulk
     rows, and the re-rank does the work. On 50k x 3 standard normal rows
-    with one row at (c, c, c), 47 to 62 rows pass per point at c = 100, and
-    about 30 000 at c = 1000, where the claim took 17 times as long as with
-    a float64 screen (one BLAS thread on a 2-core x86-64 VM with AVX-512).
-    The picks stay exact.
+    with one row at (c, c, c) and r = 20, every point lists candidates: 2 to
+    183 rows pass per point at c = 100, and 10 500 to 44 700 at c = 1000,
+    where the claim took 9 times as long as with a float64 screen (one BLAS
+    thread on a 2-core x86-64 VM with AVX-512). The picks stay exact.
 
     Memory: at most ``_CLAIM_BLOCK_BYTES`` (1 MiB) of float32 scores, so a
     block holds ``2^18 // n`` points and at least one, plus the kept S
-    (8 p n bytes) and screen (4 (p+1) n bytes).
+    (8 p n bytes) and screen (4 (p+1) n bytes), and one n-byte mask.
     """
     S, screen = sample
     p, n = S.shape
@@ -286,8 +295,8 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray],
     ) ** 2)
     block = max(1, _CLAIM_BLOCK_BYTES // (screen.itemsize * n))
     lhs = np.ones((min(block, r), p + 1), dtype=np.float32)  # [-2 q | 1]
+    near = np.empty(n, dtype=bool)
     indices = np.empty(r, dtype=np.intp)
-    dists = np.empty(r)
     for start in range(0, r, block):
         stop = min(start + block, r)
         np.multiply(points[start:stop], -2.0, out=lhs[:stop - start, :p])
@@ -295,14 +304,16 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray],
         s[:, indices[:start]] = np.inf
         for i in range(start, stop):
             row = s[i - start]
+            j = int(row.argmin())
             # both operands float32, so the threshold rounds to float32
-            cand = np.flatnonzero(row <= row.min() + tol)
-            d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
-            k = int(np.argmin(d2))  # first minimum: ties go to the lowest row
-            j = cand[k]
+            np.less_equal(row, row[j] + tol, out=near)
+            if np.count_nonzero(near) > 1:
+                cand = np.flatnonzero(near)
+                d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
+                j = int(cand[np.argmin(d2)])  # first minimum: ties go to the lowest row
             indices[i] = j
-            dists[i] = np.sqrt(d2[k])
             s[i - start + 1:, j] = np.inf
+    dists = np.sqrt(((np.ascontiguousarray(S[:, indices].T) - points) ** 2).sum(axis=1))
     return indices, dists
 
 
@@ -337,15 +348,17 @@ def lowcon(
     The sample is kept scaled, as one C-contiguous p x n float64 array with
     one predictor per row, and as a (p+1) x n float32 screen: those rows
     rounded to float32 plus the squared row norms. The claim screens every
-    row with one float32 GEMM per block of design points and ranks the rows
-    that pass in float64 by direct differences ``((x - q)**2).sum()``. The
-    rows, ties (to the lowest row) and distances are those of a
-    direct-difference scan over all rows; ``_claim_nearest`` gives the
-    screening tolerance and why the nearest row always passes. The claim
-    holds at most 1 MiB of scores, whatever r is: ``2^18 // n`` design
-    points per block, and at least one. One row far outside the bulk makes
-    many rows pass the screen, which slows the claim but keeps it exact
-    (see ``_claim_nearest``).
+    row with one float32 GEMM per block of design points. Per point it
+    takes the best-scoring row when no other row scores within the
+    screening tolerance of it, and otherwise ranks the rows that pass in
+    float64 by direct differences ``((x - q)**2).sum()``. The rows, ties
+    (to the lowest row) and distances are those of a direct-difference scan
+    over all rows; ``_claim_nearest`` gives the screening tolerance and why
+    the nearest row always passes. The claim holds at most 1 MiB of scores,
+    whatever r is (``2^18 // n`` design points per block, and at least
+    one), plus one n-byte mask. One row far outside the bulk makes many
+    rows pass the screen, which slows the claim but keeps it exact (see
+    ``_claim_nearest``).
     """
     _check_r(r, positive=False)  # r <= p raises InfeasibleDesign
     sample = _prepare(X)

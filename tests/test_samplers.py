@@ -11,6 +11,7 @@ from lowcon import (
     InfeasibleDesign,
     blev,
     fit_sls,
+    gen_predictors,
     generate_olhd,
     iboss,
     leverage_scores,
@@ -738,6 +739,19 @@ def test_claim_micro_spread_matches_greedy_oracle(n, p):
     assert np.count_nonzero(_screen_argmin(sample, points) != exact) >= r // 2
 
 
+def _listed_candidates(monkeypatch):
+    """Record the size of every candidate list the claim builds."""
+    flatnonzero, sizes = np.flatnonzero, []
+
+    def counting_flatnonzero(a):
+        found = flatnonzero(a)
+        sizes.append(found.size)
+        return found
+
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    return sizes
+
+
 def test_claim_past_one_outlier_matches_greedy_oracle(monkeypatch):
     # one row at 100 times the bulk's largest magnitude in every column packs
     # the bulk into a corner of the cube, where the screen's tolerance, set by the largest norm, spans
@@ -750,20 +764,69 @@ def test_claim_past_one_outlier_matches_greedy_oracle(monkeypatch):
     central = np.flatnonzero(np.abs(X).max(axis=1) < 1.0)
     points = sample[0][:, rng.choice(central, r, replace=False)].T
     points += 1e-3 * rng.standard_normal(points.shape)
-    flatnonzero, sizes = np.flatnonzero, []
-
-    def counting_flatnonzero(a):
-        found = flatnonzero(a)
-        sizes.append(found.size)
-        return found
-
-    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    sizes = _listed_candidates(monkeypatch)
     indices, dists = _claim_nearest(sample, points)
     monkeypatch.undo()
     assert len(sizes) == r and min(sizes) > 100
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(400, id="one-block"),
+    pytest.param(SEVEN_POINT_BLOCK_N, id="block-boundaries"),
+])
+def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(monkeypatch, n):
+    # every design point has its own rows 0.01, 0.02 and 0.03 away along a
+    # ray, and no other row within 0.2, so squared distances to its nearest
+    # rows differ by at least 3e-4, far above the screen's tolerance (about
+    # 2e-5 here): one row passes per point and no candidate list is built.
+    # Point a comes at 0 and 1, adjacent in one block, and again at 8, in the
+    # next block when a block holds 7 points; point b comes at 6 and 7,
+    # adjacent across that boundary. Each repeat takes the next-nearest row.
+    rng = np.random.default_rng(53)
+    p, r = 3, 14
+    grid = np.array(list(itertools.product((-0.6, 0.0, 0.6), repeat=p)))
+    base = grid[rng.permutation(len(grid))[:11]]
+    order = [0, 0, 2, 3, 4, 5, 1, 1, 0, 6, 7, 8, 9, 10]
+    points = base[order]
+    ray = rng.standard_normal((len(base), p))
+    ray /= np.linalg.norm(ray, axis=1, keepdims=True)
+    steps = np.array([0.01, 0.02, 0.03])
+    near = (base[:, None, :] + steps[None, :, None] * ray[:, None, :]).reshape(-1, p)
+    far = rng.uniform(-1.0, 1.0, (4 * n, p))
+    far = far[np.linalg.norm(far[:, None, :] - base, axis=2).min(axis=1) > 0.2]
+    far = far[: n - len(near) - 2]
+    X = np.vstack([-np.ones(p), np.ones(p), far, near])
+    assert len(X) == n
+    perm = rng.permutation(n)
+    X = X[perm]
+    sizes = _listed_candidates(monkeypatch)
+    indices, dists = _claim_nearest(_scaled_sample(X), points)
+    monkeypatch.undo()
+    assert sizes == []
+    row_of = np.argsort(perm)  # where each row of the stacked X landed
+    for i, step in [(0, 0), (1, 1), (8, 2), (6, 0), (7, 1)]:
+        assert indices[i] == row_of[2 + len(far) + 3 * order[i] + step], i
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+
+
+@pytest.mark.parametrize("dist", ["D1", "D3"])
+def test_paper_data_claim_single_candidates_match_greedy_oracle(monkeypatch, dist):
+    # on the paper's predictors one row passes the screen for nearly every
+    # design point, so nearly no point builds a candidate list
+    r = 40
+    X = gen_predictors(dist, 2000, 10, np.random.default_rng(54))
+    sizes = _listed_candidates(monkeypatch)
+    sel = lowcon(X, r, rng=np.random.default_rng(55), keep_design=True)
+    monkeypatch.undo()
+    assert len(sizes) <= r // 10
+    rows, mean_dist, _ = greedy_claim_oracle(X, sel.design.points)
+    assert np.array_equal(sel.indices, rows)
+    assert sel.diagnostics.mean_nn_distance == mean_dist
 
 
 def _select(method, X, r, theta, rng):
