@@ -128,7 +128,7 @@ def _cmd_diagnose(args) -> int:
             f"{e.method:7s} r={e.r} kappa={e.kappa_sub:.4g} "
             f"worst_case={e.worst_case_bound:.6g}"
         )
-        if e.method == "LOWCON":
+        if e.sp_design is not None:
             line += (
                 f" s1(D)={e.s1_perturbation:.4g} sp(L)={e.sp_design:.4g} "
                 f"assumption={'ok' if e.assumption_holds else 'violated'}"

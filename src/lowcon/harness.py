@@ -9,22 +9,22 @@ measurement-constrained setting.
 
 The grid, the toy study and the empirical-MSE protocol share one cell
 runner, ``_run_cells``, which selects, reveals, fits and scores; it and
-``diagnose`` select through one dispatch, ``_draw_selection``. A
+``diagnose`` select through the samplers' method table, ``_SAMPLERS``, whose
+order is ``METHODS`` and keys each method's sampler seed. A
 rank-deficient fit is redrawn with a derived retry seed, at most five times;
 any other package error recurs on the same data, so it is not retried. A
 cell that still fails gets NaN mse and is listed in ``failed_cells``.
 
 The samplers see each X as one prepared sample, which keeps what they derive
 from X alone (the scaled sample and its float32 screen, theta box, leverage,
-leverage draw table per share alpha, IBOSS picks). Simulate and toy build one
-per (r, replicate, attempt) for all methods, since every draw is new data.
-Emse reads the one a :class:`Dataset` keeps, with its surrogate fits, from
-the first run on that dataset to its last: 8pn + 4(p+1)n + 8n bytes, plus
-16n per leverage draw table (BLEV builds alpha 1, which LEVUNW reuses, and
-SLEV builds 0.9), plus the IBOSS picks. The first method in
-``config.methods`` that needs a kept field builds it in its own timed call,
-so per-method ``mean_runtime_ms`` depends on that order and, in emse, on
-whether an earlier run on the dataset built it already.
+leverage draw table per share alpha, IBOSS picks; ``_Prepared`` gives their
+bytes). Simulate and toy build one per (r, replicate, attempt) for all
+methods, since every draw is new data. Emse reads the one a :class:`Dataset`
+keeps, with its surrogate fits, from the first run on that dataset to its
+last. The first method in ``config.methods`` that needs a kept field builds
+it in its own timed call, so per-method ``mean_runtime_ms`` depends on that
+order and, in emse, on whether an earlier run on the dataset built it
+already.
 
 Reproducibility contract: every random stream is derived from the master
 seed plus a structural key (cell, replicate, attempt, purpose), so results
@@ -39,6 +39,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -63,9 +64,9 @@ from .exceptions import (
     RankDeficient,
 )
 from .linalg import least_squares, singular_values
-from .samplers import _Prepared, blev, iboss, levunw, lowcon, slev, unif
+from .samplers import _SAMPLERS, _Prepared
 
-METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
+METHODS = tuple(_SAMPLERS)
 MODES = ("simulate", "realdata", "toy")
 TOY_METHODS = ("UNIF", "BLEV", "LOWCON")
 
@@ -239,12 +240,10 @@ class Dataset:
 
     * the EMSE_OLS and EMSE_M surrogates, p + 1 coefficients each, from one
       OLS solve of the intercept design, which is dropped once both are fit;
-    * the samplers' prepared sample: LOWCON's scaled sample and float32
-      screen (8pn + 4(p+1)n bytes) and box per theta, the leverages (8n
-      bytes), the leverage draw table per alpha, pi and its CDF (16n bytes
-      each; BLEV builds alpha 1, which LEVUNW reuses, and SLEV builds 0.9),
-      and the IBOSS selection per r (r indices each), or the package error a
-      build raised.
+    * the samplers' prepared sample (``_Prepared``, which gives its bytes):
+      LOWCON's scaled sample, float32 screen and box per theta, the
+      leverages, the leverage draw table per alpha and the IBOSS selection
+      per r, or the package error a build raised.
 
     They live as long as the dataset. Datasets compare and hash by identity:
     two datasets holding equal arrays are still two datasets, each with its
@@ -265,7 +264,6 @@ class Dataset:
         X.flags.writeable = False
         object.__setattr__(self, "X_raw", X)
         object.__setattr__(self, "_sample", sample)
-        object.__setattr__(self, "_surrogates", None)
         if self.y is None:
             return
         y = np.array(self.y, dtype=np.float64, order="C").reshape(-1)
@@ -277,15 +275,13 @@ class Dataset:
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
+    @cached_property
     def _surrogate_fits(self) -> dict:
         """The full-sample fits, with intercept, that EMSE scores against:
         OLS and Huber-M from one OLS solve, built on first use and kept."""
-        if self._surrogates is None:
-            Z = _with_intercept(self.X_raw)
-            ols = least_squares(Z, self.y)
-            object.__setattr__(self, "_surrogates", {
-                "EMSE_OLS": ols, "EMSE_M": _huber_irls(Z, self.y, ols).beta})
-        return self._surrogates
+        Z = _with_intercept(self.X_raw)
+        ols = least_squares(Z, self.y)
+        return {"EMSE_OLS": ols, "EMSE_M": _huber_irls(Z, self.y, ols).beta}
 
 
 class HiddenResponses:
@@ -352,22 +348,6 @@ def _sampler_rng(seed, key, r, replicate, attempt, method) -> np.random.Generato
     return _derived_rng(seed, _P_SAMPLER, *key, r, replicate, attempt, _METHOD_CODE[method])
 
 
-def _draw_selection(method, X, r, rng, config: ExperimentConfig):
-    if method == "UNIF":
-        return unif(X, r, rng)
-    if method == "BLEV":
-        return blev(X, r, rng)
-    if method == "SLEV":
-        return slev(X, r, rng)
-    if method == "LEVUNW":
-        return levunw(X, r, rng)
-    if method == "IBOSS":
-        return iboss(X, r)
-    if method == "LOWCON":
-        return lowcon(X, r, theta=config.theta, rng=rng, keep_design=True)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _simulate_data(config: ExperimentConfig, r: int, replicate: int, attempt: int):
     """Fresh predictors, calibrated shape term, and hidden responses."""
     rng = _derived_rng(config.seed, _P_DATA, *_cell_key(config), r, replicate, attempt)
@@ -413,7 +393,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                     rng = _sampler_rng(config.seed, key, r, i, attempt, m)
                     t0 = time.perf_counter()
                     try:
-                        sel = _draw_selection(m, sample, r, rng, config)
+                        sel = _SAMPLERS[m](sample, r, rng, config.theta)
                         y_sub = hidden.reveal(sel.indices)
                         fit = fit_sls(fit_design(sample.X[sel.indices]), y_sub,
                                       weights=sel.weights)
@@ -500,12 +480,11 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     selection itself sees only the informative predictors.
 
     The surrogates and the prepared sample are the ones ``dataset`` keeps
-    for as long as it lives, 8pn + 4(p+1)n + 8n bytes plus 16n per leverage
-    draw table (BLEV builds alpha 1, which LEVUNW reuses, and SLEV 0.9) plus
-    the IBOSS picks (see :class:`Dataset`): the first run on it builds them,
-    charging each sampler build to the first method in ``config.methods``
-    that needs it, and later runs reuse them, so they return the rows a
-    fresh dataset would give, in less time.
+    for as long as it lives (see :class:`Dataset`; ``_Prepared`` gives the
+    sample's bytes): the first run on it builds them, charging each sampler
+    build to the first method in ``config.methods`` that needs it, and later
+    runs reuse them, so they return the rows a fresh dataset would give, in
+    less time.
 
     Without ``r_list`` the grid is 2pk (k = 1..5) for the dataset's p. Every
     r must exceed the dataset's p and be at most its n; with IBOSS it must
@@ -522,7 +501,7 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     if config.r_list is None:
         config = dataclasses.replace(config, r_list=_default_r_list(p))
     _check_r_list(config.r_list, n, p, config.methods)
-    data = (dataset._sample, dataset.y, dataset._surrogate_fits(), _with_intercept)
+    data = (dataset._sample, dataset.y, dataset._surrogate_fits, _with_intercept)
     return _run_cells(config, (dataset.name,), (_DIST_CODE["REAL"], 0),
                       lambda r, i, attempt: data, dict(dist=dataset.name, n=n, p=p),
                       range(config.replicates))
@@ -566,7 +545,7 @@ def diagnose(config: ExperimentConfig, alpha: float) -> list[DiagnoseEntry]:
     entries: list[DiagnoseEntry] = []
     for m in config.methods:
         rng = _sampler_rng(config.seed, _cell_key(config), r, 0, 0, m)
-        sel = _draw_selection(m, sample, r, rng, config)
+        sel = _SAMPLERS[m](sample, r, rng, config.theta)
         fields = {}
         if sel.design is not None:
             L, D = sel.design.points, sel.perturbation

@@ -166,7 +166,8 @@ class _Prepared:
     (``_scaled_sample``, 8pn + 4(p+1)n bytes), box per theta, the leverages
     (8n bytes), the leverage draw table per alpha (``_leverage_table``, 16n
     bytes each: blev builds alpha 1, which levunw reuses, and slev 0.9) and
-    IBOSS per r."""
+    IBOSS per r (r indices). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per
+    table, plus the IBOSS picks."""
 
     def __init__(self, X):
         self.X = _as_matrix(X)
@@ -504,3 +505,17 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
         indices[done:done + count] = _lowest(keys, count)
         done += count
     return _selection(X, indices)
+
+
+# The method table: each method's one sampler call, (X, r, rng, theta) ->
+# SubsampleSelection, where X may be a prepared sample and theta is read by
+# LOWCON alone. Its order is the harness's method order, which keys every
+# sampler seed, so a reorder changes the result CSVs.
+_SAMPLERS = {
+    "UNIF": lambda X, r, rng, theta: unif(X, r, rng),
+    "BLEV": lambda X, r, rng, theta: blev(X, r, rng),
+    "SLEV": lambda X, r, rng, theta: slev(X, r, rng),
+    "LEVUNW": lambda X, r, rng, theta: levunw(X, r, rng),
+    "IBOSS": lambda X, r, rng, theta: iboss(X, r),
+    "LOWCON": lambda X, r, rng, theta: lowcon(X, r, theta, rng=rng, keep_design=True),
+}

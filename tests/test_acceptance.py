@@ -31,9 +31,8 @@ from lowcon import (
     worst_case_mse,
     write_result_csv,
 )
+from lowcon.harness import METHODS
 from synthetic import soil_like_dataset
-
-ALL_METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
 
 
 def report(name: str, detail: str = ""):
@@ -163,7 +162,7 @@ def test_criterion_6_correct_model_sanity():
     t0 = time.time()
     exact = run_simulation(ExperimentConfig(
         mode="simulate", dist="D1", misspec="H1", n=500, p=10,
-        r_list=(40,), sigma2=0.0, replicates=3, seed=1, methods=ALL_METHODS,
+        r_list=(40,), sigma2=0.0, replicates=3, seed=1, methods=METHODS,
     ))
     for row in exact.rows:
         assert row.mse <= 1e-16, (row.method, row.mse)
@@ -265,7 +264,7 @@ def test_criterion_10_measurement_discipline():
     desk-scale grid."""
     cfg = ExperimentConfig(
         mode="simulate", dist="D1", misspec="H2", n=1000, p=10,
-        r_list=(20, 40), replicates=3, seed=5, methods=ALL_METHODS,
+        r_list=(20, 40), replicates=3, seed=5, methods=METHODS,
     )
     res = run_simulation(cfg)
     assert not res.failed_cells
@@ -273,7 +272,7 @@ def test_criterion_10_measurement_discipline():
     for (_, _, _, r), counts in res.response_reads.items():
         assert counts == [r] * cfg.replicates
         total_checked += len(counts)
-    assert total_checked == len(ALL_METHODS) * 2 * cfg.replicates
+    assert total_checked == len(METHODS) * 2 * cfg.replicates
     report("criterion 10 (response reads equal r)",
            f"{total_checked} replicate cells audited")
 
@@ -284,10 +283,10 @@ def _emse_rank_one_runs(dataset, masters=(1, 2, 3)):
     for master in masters:
         cfg = ExperimentConfig(
             mode="realdata", n=dataset.X_raw.shape[0] + 1, p=5, r_list=(25,),
-            replicates=100, seed=master, methods=ALL_METHODS,
+            replicates=100, seed=master, methods=METHODS,
         )
         res = run_emse(dataset, cfg)
-        vals = {m: res.row(m, 25, "EMSE_OLS").mse for m in ALL_METHODS}
+        vals = {m: res.row(m, 25, "EMSE_OLS").mse for m in METHODS}
         best = min(vals, key=vals.get)
         wins += best == "LOWCON"
         details.append(f"seed {master}: best {best} ({vals[best]:.2f})")

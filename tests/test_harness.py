@@ -31,8 +31,6 @@ from lowcon import (
 )
 from synthetic import soil_like_dataset
 
-ALL_METHODS = ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
-
 
 def small_config(**overrides):
     base = dict(
@@ -46,7 +44,7 @@ def small_config(**overrides):
         sigma2=1.0,
         replicates=3,
         seed=11,
-        methods=ALL_METHODS,
+        methods=harness.METHODS,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -195,6 +193,23 @@ class TestRunSimulation:
         b = run_simulation(cfg, _replicate_order=[4, 2, 0, 3, 1])
         assert a.rows == b.rows
 
+    def test_sampler_seed_codes_fixed_and_independent_of_methods(self):
+        # each method's sampler stream is keyed by its fixed position in the
+        # method table: a reordered table would change every result CSV, and
+        # the order or a subset of ``methods`` must change no method's row
+        assert harness._METHOD_CODE == {
+            "UNIF": 1, "BLEV": 2, "SLEV": 3, "LEVUNW": 4, "IBOSS": 5, "LOWCON": 6}
+
+        def rows(methods):
+            res = run_simulation(small_config(r_list=(16, 24), methods=methods))
+            return {(row.method, row.r): row for row in res.rows}
+
+        full = rows(harness.METHODS)
+        assert len(full) == 12
+        assert rows(harness.METHODS[::-1]) == full
+        assert rows(("LOWCON", "UNIF")) == {
+            key: row for key, row in full.items() if key[0] in ("LOWCON", "UNIF")}
+
     def test_last_error_message_outside_equality(self):
         # the message comes from whichever failing replicate ran last, so two
         # runs in different replicate orders must still compare equal
@@ -210,9 +225,9 @@ class TestRunSimulation:
         for (_, _, _, r), counts in res.response_reads.items():
             assert counts == [r] * 4
         emse_cfg = ExperimentConfig(mode="realdata", n=201, p=3, r_list=(16, 24),
-                                    replicates=4, seed=11, methods=ALL_METHODS)
+                                    replicates=4, seed=11, methods=harness.METHODS)
         res = run_emse(planted_dataset(n=200), emse_cfg)
-        assert len(res.response_reads) == len(ALL_METHODS) * 2
+        assert len(res.response_reads) == len(harness.METHODS) * 2
         for (name, _, r), counts in res.response_reads.items():
             assert name == "planted" and counts == [r] * 4
 
@@ -361,8 +376,8 @@ class TestRunEmse:
         y = 1.0 + a + b + 0.1 * rng.standard_normal(3000)
         path = tmp_path / "rare.csv"
         path.write_text("y,a,b\n" + "".join(f"{v},{u},{w}\n" for v, u, w in zip(y, a, b)))
-        draw, calls = harness._draw_selection, []
-        monkeypatch.setattr(harness, "_draw_selection",
+        draw, calls = harness._SAMPLERS["UNIF"], []
+        monkeypatch.setitem(harness._SAMPLERS, "UNIF",
                             lambda *args: calls.append(args) or draw(*args))
         cfg = ExperimentConfig(mode="realdata", r_list=(40,), replicates=5,
                                methods=("UNIF",))
@@ -390,10 +405,10 @@ class TestRunEmse:
             monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(
                 (name, *(v for v in args if np.isscalar(v)))) or real(*args))
         cfg = ExperimentConfig(mode="realdata", r_list=(200, 300), replicates=3,
-                               seed=0, methods=ALL_METHODS)
+                               seed=0, methods=harness.METHODS)
         res = run_emse(data, cfg)
         again = run_emse(data, dataclasses.replace(
-            cfg, r_list=(400, 300), theta=2.0, seed=1, methods=ALL_METHODS[::-1]))
+            cfg, r_list=(400, 300), theta=2.0, seed=1, methods=harness.METHODS[::-1]))
         assert sorted(calls) == [
             ("_iboss", 200), ("_iboss", 300), ("_iboss", 400), ("_scale_rows",),
             ("_theta_rows", 1.0), ("_theta_rows", 2.0), ("least_squares",),
@@ -431,9 +446,9 @@ class TestRunEmse:
         data = planted_dataset(n=800)
         cfgs = [
             ExperimentConfig(mode="realdata", r_list=(12, 30), replicates=2,
-                             seed=3, methods=ALL_METHODS),
+                             seed=3, methods=harness.METHODS),
             ExperimentConfig(mode="realdata", r_list=(40, 12), replicates=3, theta=5.0,
-                             seed=4, methods=ALL_METHODS[::-1]),
+                             seed=4, methods=harness.METHODS[::-1]),
         ]
         for k, cfg in enumerate(cfgs):
             kept = run_emse(data, cfg)
@@ -454,7 +469,7 @@ class TestRunEmse:
         Z = np.column_stack([np.ones(data.X_raw.shape[0]), data.X_raw])
         huber = fit_huber_m(Z, data.y)
         assert huber.iterations > 1
-        kept = data._surrogate_fits()
+        kept = data._surrogate_fits
         assert np.array_equal(kept["EMSE_OLS"], least_squares(Z, data.y))
         assert np.array_equal(kept["EMSE_M"], huber.beta)
 
@@ -468,7 +483,7 @@ class TestRunEmse:
             with pytest.raises(ValueError, match="read-only"):
                 target[0] = 1.0
         cfg = ExperimentConfig(mode="realdata", r_list=(20,), replicates=2,
-                               methods=ALL_METHODS)
+                               methods=harness.METHODS)
         before = run_emse(data, cfg)
         X[:] = 7.0
         y[:] = -3.0
@@ -532,14 +547,14 @@ class TestDiagnose:
     def test_bound_is_at_the_config_sigma2(self):
         cfg = ExperimentConfig(
             mode="simulate", dist="D1", misspec="H2", n=4000, p=3,
-            r_list=(20, 30), replicates=2, seed=5, sigma2=9.0, methods=ALL_METHODS,
+            r_list=(20, 30), replicates=2, seed=5, sigma2=9.0, methods=harness.METHODS,
         )
         entries = diagnose(cfg, alpha=1.0)
         # replicate 0 at the first r, each method's selection drawn as in the grid
         X, _, _ = harness._simulate_data(cfg, 20, replicate=0, attempt=0)
         for e in entries:
             rng = harness._sampler_rng(cfg.seed, harness._cell_key(cfg), 20, 0, 0, e.method)
-            sub = X[harness._draw_selection(e.method, X, 20, rng, cfg).indices]
+            sub = X[harness._SAMPLERS[e.method](X, 20, rng, cfg.theta).indices]
             assert e.r == 20
             assert e.worst_case_bound == worst_case_mse(sub, 9.0, 1.0).bound
             assert e.worst_case_bound > worst_case_mse(sub, 1.0, 1.0).bound

@@ -24,6 +24,7 @@ from lowcon import (
 )
 from lowcon.samplers import (
     _CLAIM_BLOCK_BYTES,
+    _SAMPLERS,
     _claim_nearest,
     _leverage_draw,
     _leverage_table,
@@ -407,8 +408,8 @@ class TestLeverageDraw:
         X = np.random.default_rng(73).standard_normal((400, 3)) * [1.0, 8.0, 0.1]
         sample = _Prepared(X)
         for k, m in enumerate(order * 2):
-            got = _select(m, sample, 25, 1.0, np.random.default_rng([74, k]))
-            want = _select(m, X.copy(), 25, 1.0, np.random.default_rng([74, k]))
+            got = _SAMPLERS[m](sample, 25, np.random.default_rng([74, k]), 1.0)
+            want = _SAMPLERS[m](X.copy(), 25, np.random.default_rng([74, k]), 1.0)
             assert same_bits(got.indices, want.indices), (order, k)
             assert (got.weights is None) == (want.weights is None)
             if got.weights is not None:
@@ -829,34 +830,18 @@ def test_paper_data_claim_single_candidates_match_greedy_oracle(monkeypatch, dis
     assert sel.diagnostics.mean_nn_distance == mean_dist
 
 
-def _select(method, X, r, theta, rng):
-    """One public sampler call; theta is read by LOWCON alone."""
-    if method == "UNIF":
-        return unif(X, r, rng)
-    if method == "BLEV":
-        return blev(X, r, rng)
-    if method == "SLEV":
-        return slev(X, r, rng)
-    if method == "LEVUNW":
-        return levunw(X, r, rng)
-    if method == "IBOSS":
-        return iboss(X, r)
-    return lowcon(X, r, theta=theta, rng=rng)
-
-
 def test_shared_sample_matches_fresh_calls():
     # one prepared sample serves every method, r and theta, in a shuffled
     # order; each selection must be the one a fresh matrix gives
     rng = np.random.default_rng(60)
     X = rng.standard_t(3, (600, 3)) * [1.0, 5.0, 0.2] + [0.0, 3.0, -1.0]
     sample = _Prepared(X)
-    calls = [(m, r, theta) for m in ("UNIF", "BLEV", "SLEV", "LEVUNW", "IBOSS", "LOWCON")
-             for r in (12, 30) for theta in (1.0, 10.0)]
+    calls = [(m, r, theta) for m in _SAMPLERS for r in (12, 30) for theta in (1.0, 10.0)]
     h = leverage_scores(X)  # the leverage of the raw X, not of the scaled X
     for k in rng.permutation(len(calls)):
         m, r, theta = calls[k]
-        got = _select(m, sample, r, theta, np.random.default_rng([61, k]))
-        want = _select(m, X.copy(), r, theta, np.random.default_rng([61, k]))
+        got = _SAMPLERS[m](sample, r, np.random.default_rng([61, k]), theta)
+        want = _SAMPLERS[m](X.copy(), r, np.random.default_rng([61, k]), theta)
         assert np.array_equal(got.indices, want.indices), calls[k]
         assert (got.weights is None) == (want.weights is None), calls[k]
         if got.weights is not None:
