@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateBox, InfeasibleDesign
-from .linalg import _require_int
+from .linalg import _aligned_empty, _require_int
 
 DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
@@ -87,6 +87,24 @@ def _gram_kappa(G: np.ndarray) -> float:
     return float(ev[-1] / ev[0])
 
 
+# relative margin by which _kappa_bound must pass a target to decide it
+_BOUND_MARGIN = 1e-6
+
+
+def _kappa_bound(G: np.ndarray, diag: float) -> float:
+    """A lower bound on the condition number of the integer Gram matrix G
+    of an LHD in integer units, whose diagonal is the constant
+    ``diag`` = r (r^2 - 1) / 3. With m the largest |off-diagonal entry|,
+    the 2 x 2 principal submatrix holding it has eigenvalues diag +- m, and
+    Cauchy interlacing puts G's extreme eigenvalues outside them, so
+    kappa(G) >= (diag + m) / (diag - m); inf when m >= diag. Costs one pass
+    over G, against an eigensolve."""
+    A = np.abs(G)
+    np.fill_diagonal(A, 0.0)
+    m = float(A.max())
+    return (diag + m) / (diag - m) if m < diag else np.inf
+
+
 def _random_lhd_points(r: int, p: int, rng: np.random.Generator) -> np.ndarray:
     levels = lhd_levels(r)
     L = np.empty((r, p))
@@ -121,9 +139,10 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
     is contiguous vectors x and w of length r, and per row block [a0, a1) of
     ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, x_a, x_b, w_a,
     w_b, D2[a0:a1, a0:], d, t, u). d, t and u are (a1 - a0) x (r - a0) views
-    of three flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, so each
-    block's scores are contiguous. D2 is only updated in place, so its views
-    stay valid for the whole descent."""
+    of three flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, each starting
+    on a 64-byte boundary (``_aligned_empty``), so each block's scores are
+    contiguous. D2 is only updated in place, so its views stay valid for the
+    whole descent."""
     r = C.shape[0]
     nn = (C * C).sum(axis=1)
     D2 = C @ C.T
@@ -131,7 +150,7 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
     D2 += nn[:, None]
     D2 += nn
     x, w = np.empty(r), np.empty(r)
-    bufs = np.empty((3, _SWAP_BLOCK_ROWS * r))
+    bufs = _aligned_empty((3, _SWAP_BLOCK_ROWS * r))
     blocks = []
     for a0 in range(0, r, _SWAP_BLOCK_ROWS):
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
@@ -212,6 +231,14 @@ def _descend_correlations(
     reaches |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does;
     a no-op still scores 0 and the swap cap still binds.
 
+    After an accepted swap, kappa comes from an eigensolve only when
+    ``_kappa_bound``, a one-pass lower bound from the largest off-diagonal
+    Gram entry, does not already pass the target by a relative 1e-6. The
+    bound is exact up to three roundings of (diag + m) / (diag - m), and
+    ``eigvalsh`` errs at these sizes by about p eps kappa relative, far
+    below 1e-6, so each decision is the eigensolve's, and so is every
+    design. Where the loop stops or returns, kappa is the eigensolve's.
+
     ``_best_swap`` scores only the pairs b >= a, plus each row block's small
     lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
     call in O(r^2 p); an accepted swap changes only its rows and columns a
@@ -224,6 +251,8 @@ def _descend_correlations(
     r, p = L.shape
     C = np.rint(L * r)
     G = C.T @ C
+    diag = r * (r * r - 1) / 3  # every column's squares sum to this
+    skip_above = kappa_target * (1.0 + _BOUND_MARGIN)
     kap = _gram_kappa(G)
     if kap <= kappa_target or max_swaps <= 0:
         return L, kap, 0
@@ -234,7 +263,7 @@ def _descend_correlations(
         )
     D2, scratch = _swap_scratch(C)
     swaps = 0
-    improved = True
+    improved = exact = True
     while improved and kap > kappa_target and swaps < max_swaps:
         improved = False
         for j in range(p):
@@ -251,9 +280,14 @@ def _descend_correlations(
                 G[j, :] = G[:, j] = C.T @ C[:, j]
                 improved = True
                 swaps += 1
-                kap = _gram_kappa(G)
+                if swaps < max_swaps and _kappa_bound(G, diag) > skip_above:
+                    exact = False  # kap stays a value above the target
+                    continue
+                kap, exact = _gram_kappa(G), True
                 if kap <= kappa_target or swaps == max_swaps:
                     break
+    if not exact:
+        kap = _gram_kappa(G)
     return C / r, kap, swaps
 
 

@@ -8,19 +8,32 @@ the rest select rows for a plain fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .designs import Box, DesignMatrix, generate_olhd, rescale_design
 from .exceptions import ConstantColumn, DegenerateBox, LowconError
-from .linalg import _as_matrix, _require_int, condition_number, leverage_scores
+from .linalg import (
+    _aligned_empty,
+    _as_matrix,
+    _require_int,
+    condition_number,
+    leverage_scores,
+)
 
 
 @dataclass(frozen=True)
 class SelectionDiagnostics:
+    """What a selection reports about itself. ``mean_nn_distance`` and
+    ``reranked_points``, the number of design points whose candidate rows
+    the claim re-ranked in float64, are LOWCON's and None for the
+    baselines."""
+
     kappa_sub: float
     mean_nn_distance: float | None = None
+    reranked_points: int | None = None
 
 
 @dataclass(frozen=True)
@@ -162,8 +175,9 @@ class _Prepared:
     """A predictor matrix, checked once, that every sampler takes in its place.
     ``keep`` builds what depends on X alone on first use and keeps it, or the
     package error it raised: the scaled sample as contiguous float64
-    predictor rows plus its float32 screen with the squared row norms
-    (``_scaled_sample``, 8pn + 4(p+1)n bytes), box per theta, the leverages
+    predictor rows plus its centred float32 screen with the squared centred
+    row norms and the p-float centre (``_scaled_sample``, 8pn + 4(p+1)n
+    bytes, as for an uncentred screen), box per theta, the leverages
     (8n bytes), the leverage draw table per alpha (``_leverage_table``, 16n
     bytes each: blev builds alpha 1, which levunw reuses, and slev 0.9) and
     IBOSS per r (r indices). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per
@@ -198,124 +212,179 @@ def _check_r(r, *, positive: bool = True) -> None:
         raise ValueError(f"r must be at least 1, got r={r}")
 
 
-def _scaled_sample(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What LOWCON keeps of a sample, as two C-contiguous arrays.
+def _scaled_sample(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What LOWCON keeps of a sample: (S, screen, c).
 
-    S, p x n float64: a copy of X's columns, one predictor per row, scaled
-    in place by ``_scale_rows``, so ``S.T`` equals ``scale_to_cube(X)[0]``
-    bit for bit. screen, (p+1) x n float32, the array ``_claim_nearest``
-    screens with: rows 0..p-1 are S rounded to float32, and row p holds the
-    squared norms of the scaled sample points, summed in float64 and then
-    rounded."""
+    S, p x n float64, C-contiguous: a copy of X's columns, one predictor per
+    row, scaled in place by ``_scale_rows``, so ``S.T`` equals
+    ``scale_to_cube(X)[0]`` bit for bit. c, p float64: the centre, the mean
+    of each row of S. screen, (p+1) x n float32, C-contiguous, the array
+    ``_claim_nearest`` screens with: rows 0..p-1 hold S - c, subtracted in
+    float64 and rounded to float32, and row p the squared norms of those
+    float32 columns, summed in float32. Centring costs one reading pass
+    for the mean; the screen keeps its uncentred size, and S stays
+    uncentred."""
     p = X.shape[1]
     S = X.T.copy()
     _scale_rows(S)
+    c = S.mean(axis=1)
     screen = np.empty((p + 1, S.shape[1]), dtype=np.float32)
-    screen[:p] = S
-    screen[p] = np.einsum("ij,ij->j", S, S)
-    return S, screen
+    np.subtract(S, c[:, None], out=screen[:p])
+    np.einsum("ij,ij->j", screen[:p], screen[:p], out=screen[p])
+    return S, screen, c
 
 
 # Bytes of screening scores the claim step holds per block of design points;
 # bounds its memory independently of r.
 _CLAIM_BLOCK_BYTES = 1 << 20
+# Added to every claim tolerance; covers float32 underflow (see _claim_nearest).
+_UNDERFLOW_SLACK = 2.0 ** -100
 
 
-def _claim_nearest(sample: tuple[np.ndarray, np.ndarray],
-                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Claim each design point's nearest unclaimed row, in design order.
 
-    ``sample`` is the pair (S, screen) that ``_scaled_sample`` keeps.
-    Returns the claimed rows and their distances. The result is the one a
-    scan of the direct-difference distances ``((x - q)**2).sum()`` over the
-    scaled rows x of S per point q gives, first ``argmin``, with claimed
-    rows excluded: the same rows, ties to the lowest row, and the same
-    distances bit for bit.
+    ``sample`` is the triple (S, screen, c) that ``_scaled_sample`` keeps.
+    Returns the claimed rows, their distances and how many points had their
+    candidates re-ranked. The rows and distances are the ones a scan of
+    the direct-difference distances ``((x - q)**2).sum()`` over the scaled
+    rows x of S per point q gives, first ``argmin``, with claimed rows
+    excluded: the same rows, ties to the lowest row, and the same distances
+    bit for bit.
 
     Screen: for a block of design points, one float32 GEMM
-    ``[-2 q | 1] @ screen`` gives every row's score ``s = N - 2 x.q``, with
-    x and N the row and its norm as the screen stores them. The score lacks
-    the per-point constant |q|^2, which changes its rounding but not the
-    order of the rows. Per point, only the rows with
-    ``s <= min(s) + tol``, compared in float32, are candidates, and they are
-    ranked in float64 by the direct-difference expression on S.
+    ``[-2 (q - c) | 1] @ screen`` gives every row's score
+    ``s = N - 2 (x - c).(q - c)``, with x - c and N the centred row and its
+    norm as the screen stores them. The score is |x - q|^2 - |q - c|^2 up
+    to rounding; the per-point constant changes its rounding but not the
+    order of the rows. Claimed rows score inf.
 
-    Per point the step takes j, the first ``argmin`` of s (claimed rows
-    score inf), marks the rows with ``s <= s_j + tol`` in one n-byte mask
-    kept for the call, and counts them. Only a count above 1 lists the
-    candidates and re-ranks them. This is exact: s_j is min(s), so the
-    float32 threshold is the candidates' own, and a count of 1 means the
-    candidates are {j}, which the re-rank would return. The distances of
-    all r picks come from one pass of the re-rank's expression at the end,
-    which is that expression row by row, so they keep its bits.
+    Per point the step takes j, the first ``argmin`` of s, and the
+    runner-up m2 = min of s over the other rows. The block gets both in
+    three passes (``argmin`` per point, j's scores set to inf, ``min`` per
+    point), before any of its points claims a row; an earlier claim in the
+    block can only raise a later point's scores to inf, so j stays its
+    first ``argmin`` unless j itself was claimed (then j and m2 are taken
+    again from the point's current scores), and the block's m2 is a lower
+    bound of the current runner-up. The point takes j when
+    ``m2 > s_j + tol``, else when ``m2 > s_j + tol_i``, with
 
-    Why the true nearest row survives: let u = 2^-24 be float32's unit
-    roundoff, eps = 2u, gamma_k = k u / (1 - k u), D = |x - q|^2 exactly
-    for the float64 row x, d its direct float64 form and
-    M = max|x| + max|q|. Float64 rounds with unit roundoff 2^-53, so its
-    p + 2 roundings in d, and its p-term sum in N, each count as one u here
-    (p < 2^28): |d - D| <= gamma_1 M^2. Rounding x and -2q into float32
-    moves each product x_j q_j by a factor within (1 + u)^2, and N is |x|^2
-    within a factor 1 + gamma_2. The GEMM is a (p+1)-term dot product, so
-    in any order BLAS sums, with or without FMA, it adds at most
-    gamma_{p+1} times the sum of its terms' magnitudes (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, section 3.1). Together
-    |s + |q|^2 - D| <= gamma_{p+3} (|x|^2 + 2 |x||q|) <= gamma_{p+3} M^2.
-    Underflow, even flushed to zero, adds at most 2^-126 per term, which is
-    negligible, since M >= 1: every scaled column reaches +-1. If row a
-    has the least direct distance and b is any unclaimed row, then
-    s_a + |q|^2 <= d_a + gamma_{p+4} M^2 <= d_b + gamma_{p+4} M^2
-    <= s_b + |q|^2 + 2 gamma_{p+4} M^2, so s_a <= min(s) + 2 gamma_{p+4} M^2,
-    about (p+4) eps M^2. tol = 4 (p+3) eps M^2, with M from the stored
-    norms, exceeds that by more than (3p+7) eps M^2. The slack absorbs the
-    rounding of M, of tol into float32 and of min(s) + tol in float32,
-    which together move the threshold by a few u (M^2 + tol), as
-    |min(s)| <= (1 + gamma_{p+3}) M^2. The same argument keeps every row
-    tied with a at the least direct distance, so the first-argmin tie rule
-    also holds.
+        tol   = 4 (p+3) eps (max_x |x - c| + max_q |q - c|)^2 + 2^-100,
+        tol_i = 4 (p+3) eps ((|x_j - c| + |q - c|)^2
+                             + (2 |q - c| + sqrt(d_j))^2) + 2^-100,
 
-    Limit: tol is set by the largest norm of all rows and points, not by
-    the rows near q. Where one row lies far outside the bulk, scaling packs
-    the bulk into a small corner of the cube, where tol spans many bulk
-    rows, and the re-rank does the work. On 50k x 3 standard normal rows
-    with one row at (c, c, c) and r = 20, every point lists candidates: 2 to
-    183 rows pass per point at c = 100, and 10 500 to 44 700 at c = 1000,
-    where the claim took 9 times as long as with a float64 screen (one BLAS
-    thread on a 2-core x86-64 VM with AVX-512). The picks stay exact.
+    where eps = 2^-23 is float32's machine epsilon, the norms |x - c| are
+    read from the screen, |q - c| is summed in float64 and d_j is j's
+    direct float64 distance. Both are computed in float64 and rounded to
+    float32, and ``s_j + tol`` is summed in float32. Only when both tests
+    fail are the rows with ``s <= s_j + tol_i`` listed, in row order, and
+    ranked by the direct-difference expression on S, first minimum. The
+    distances of all r picks come from one pass of that expression at the
+    end, which is the expression row by row, so they keep its bits.
 
-    Memory: at most ``_CLAIM_BLOCK_BYTES`` (1 MiB) of float32 scores, so a
-    block holds ``2^18 // n`` points and at least one, plus the kept S
-    (8 p n bytes) and screen (4 (p+1) n bytes), and one n-byte mask.
+    Why this is exact. Let u = 2^-24 be float32's unit roundoff,
+    gamma_k = k u / (1 - k u), y = x - c and t = q - c exactly, so that
+    D = |x - q|^2 = |y|^2 - 2 y.t + |t|^2, and take p < 2^16. c is any
+    float64 vector: the screen and the points are centred on the same c,
+    so how the mean rounds changes nothing below. Each stored entry of y
+    is float64's x - c rounded to float32, within a factor 1 + gamma_1 of
+    the exact one (unit roundoffs 2^-53 and u), and so is each entry of
+    -2t in the GEMM. N is a p-term float32 sum of squares of those entries,
+    within a factor 1 + gamma_{p+2} of |y|^2 in any summation order, and
+    the GEMM is a (p+1)-term dot product, which adds at most gamma_{p+1}
+    times the sum of its terms' magnitudes in any order BLAS sums, with or
+    without FMA (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1). So each score is
+
+        s = D - |t|^2 + e,   |e| <= gamma_{2p+3} R^2 + U,   R = |y| + |t|,
+
+    where U bounds underflow: a float32 step whose result lies below
+    2^-126 errs by at most 2^-126, even flushed to zero; the entries it
+    meets are at most 4 in magnitude (x, q and c lie in the cube), and a
+    score takes at most 6p such steps, so U <= 6p 2^-124 < 2^-105. The
+    direct distance d of a row is D within a factor 1 + gamma'_{p+1}
+    (gamma' for float64's unit roundoff 2^-53), far below 1 + u; float64
+    underflow, at most p 2^-1022, vanishes beside the 2^-100 below. Now
+    let a be the row the direct scan returns and b any unclaimed row with
+    d_b = d_a, a included. Then d_b <= d_j, so D_b <= (1 + 3u) D_j, and
+    |x_b - c| <= sqrt(D_b) + |t|; with B = 2|t| + sqrt(D_j) and
+    D_j <= R_j^2,
+
+        s_b - s_j <= gamma_{2p+3} (R_j^2 + R_b^2) + 3u D_j + 2U
+                  <= gamma_{2p+6} (R_j^2 + B^2) + 2U,
+
+    and, since R_j, R_b <= M = max_x |x - c| + max_q |q - c|, also
+    s_b - s_j <= 2 gamma_{2p+5} M^2 + 2U. tol_i and tol are built from
+    these terms as computed: the screen's sqrt(N_j) is within a factor
+    1 + gamma_{p+3} of |x_j - c|, the float64 |q - c| and sqrt(d_j) within
+    1 + u of theirs, and the few float64 steps and the rounding to float32
+    lose a few u more. So the computed tol_i is at least
+    8 (p+3) u (1 - gamma_{2p+12}) (R_j^2 + B^2) + 2^-101, and tol at
+    least the same with M^2. The float32 sum s_j + tol_i loses at most
+    u (|s_j| + tol_i), and |s_j| <= (1 + gamma_{2p+3}) R_j^2 + U. After
+    these losses the threshold still exceeds s_b by at least
+    (5p + 15) u (R_j^2 + B^2) + 2^-101 - 3U > 0, and for tol by at least
+    (3p + 12) u M^2 + 2^-101 - 3U > 0. So every row tied with a at the
+    least direct distance scores at most either threshold. If m2 exceeds
+    it, j is the only such row and the direct scan's pick; otherwise the
+    listed rows include a and all its ties, and the re-rank's first
+    minimum in row order is a.
+
+    Memory: one buffer of at most ``_CLAIM_BLOCK_BYTES`` (1 MiB) of float32
+    scores, so a block holds ``2^18 // n`` points and at least one, plus the
+    kept S (8 p n bytes) and screen (4 (p+1) n bytes). The buffer is
+    allocated once per call, on a 64-byte boundary, and every block's GEMM
+    writes into it.
     """
-    S, screen = sample
+    S, screen, c = sample
     p, n = S.shape
     r = points.shape[0]
-    qq = np.einsum("ij,ij->i", points, points)
-    tol = np.float32(4 * (p + 3) * np.finfo(np.float32).eps * (
-        np.sqrt(float(screen[p].max())) + np.sqrt(qq.max())
-    ) ** 2)
+    T = points - c
+    tq = np.sqrt(np.einsum("ij,ij->i", T, T))  # |q - c| per point
+    K = 4 * (p + 3) * float(np.finfo(np.float32).eps)
+    norms = screen[p]
+    tol = np.float32(K * (math.sqrt(norms.max()) + tq.max()) ** 2 + _UNDERFLOW_SLACK)
     block = max(1, _CLAIM_BLOCK_BYTES // (screen.itemsize * n))
-    lhs = np.ones((min(block, r), p + 1), dtype=np.float32)  # [-2 q | 1]
-    near = np.empty(n, dtype=bool)
+    lhs = np.ones((min(block, r), p + 1), dtype=np.float32)  # [-2 (q - c) | 1]
+    scores = _aligned_empty((min(block, r), n), np.float32)
     indices = np.empty(r, dtype=np.intp)
+    reranked = 0
     for start in range(0, r, block):
         stop = min(start + block, r)
-        np.multiply(points[start:stop], -2.0, out=lhs[:stop - start, :p])
-        s = lhs[:stop - start] @ screen
+        np.multiply(T[start:stop], -2.0, out=lhs[:stop - start, :p])
+        s = np.matmul(lhs[:stop - start], screen, out=scores[:stop - start])
         s[:, indices[:start]] = np.inf
+        at = np.arange(stop - start)
+        best = s.argmin(axis=1)
+        s_best = s[at, best]
+        s[at, best] = np.inf
+        runner_up = s.min(axis=1)
+        s[at, best] = s_best
         for i in range(start, stop):
             row = s[i - start]
-            j = int(row.argmin())
-            # both operands float32, so the threshold rounds to float32
-            np.less_equal(row, row[j] + tol, out=near)
-            if np.count_nonzero(near) > 1:
-                cand = np.flatnonzero(near)
-                d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
-                j = int(cand[np.argmin(d2)])  # first minimum: ties go to the lowest row
+            j, sj, m2 = int(best[i - start]), s_best[i - start], runner_up[i - start]
+            if row[j] != sj:  # claimed by an earlier point of this block
+                j = int(row.argmin())
+                sj = row[j]
+                row[j] = np.inf
+                m2 = row.min()
+                row[j] = sj
+            if not m2 > sj + tol:
+                ti = float(tq[i])
+                d = float(((S[:, j] - points[i]) ** 2).sum())
+                tol_i = np.float32(K * ((math.sqrt(norms[j]) + ti) ** 2
+                                        + (2.0 * ti + math.sqrt(d)) ** 2)
+                                   + _UNDERFLOW_SLACK)
+                if not m2 > sj + tol_i:
+                    cand = np.flatnonzero(row <= sj + tol_i)
+                    d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
+                    j = int(cand[np.argmin(d2)])  # first minimum: ties go to the lowest row
+                    reranked += 1
             indices[i] = j
             s[i - start + 1:, j] = np.inf
     dists = np.sqrt(((np.ascontiguousarray(S[:, indices].T) - points) ** 2).sum(axis=1))
-    return indices, dists
+    return indices, dists, reranked
 
 
 def _selection(X: np.ndarray, indices: np.ndarray,
@@ -347,32 +416,35 @@ def lowcon(
     raw data, since scaling normalizes them away.
 
     The sample is kept scaled, as one C-contiguous p x n float64 array with
-    one predictor per row, and as a (p+1) x n float32 screen: those rows
-    rounded to float32 plus the squared row norms. The claim screens every
-    row with one float32 GEMM per block of design points. Per point it
-    takes the best-scoring row when no other row scores within the
-    screening tolerance of it, and otherwise ranks the rows that pass in
-    float64 by direct differences ``((x - q)**2).sum()``. The rows, ties
-    (to the lowest row) and distances are those of a direct-difference scan
-    over all rows; ``_claim_nearest`` gives the screening tolerance and why
-    the nearest row always passes. The claim holds at most 1 MiB of scores,
-    whatever r is (``2^18 // n`` design points per block, and at least
-    one), plus one n-byte mask. One row far outside the bulk makes many
-    rows pass the screen, which slows the claim but keeps it exact (see
-    ``_claim_nearest``).
+    one predictor per row, and as a (p+1) x n float32 screen of the same
+    size as an uncentred one: those rows minus their mean, rounded to
+    float32, plus the squared centred norms. The claim screens every row
+    with one float32 GEMM per block of design points. Per point it takes
+    the best-scoring row when the runner-up scores above it by more than a
+    rounding-error tolerance: a global one first, then one for the point,
+    set by its own and its best row's distances from the centre. Otherwise
+    it ranks the rows within that tolerance in float64 by direct
+    differences ``((x - q)**2).sum()`` and counts the point in
+    ``diagnostics.reranked_points``. The rows, ties (to the lowest row)
+    and distances are those of a direct-difference scan over all rows;
+    ``_claim_nearest`` gives the tolerances and why the nearest row always
+    passes them. The claim holds at most 1 MiB of scores, whatever r is
+    (``2^18 // n`` design points per block, and at least one).
     """
     _check_r(r, positive=False)  # r <= p raises InfeasibleDesign
     sample = _prepare(X)
     n, p = sample.X.shape
     if not n > r:
         raise ValueError(f"need n > r, got n={n}, r={r}")
-    S, screen = sample.keep("scaled", lambda: _scaled_sample(sample.X))
+    kept = sample.keep("scaled", lambda: _scaled_sample(sample.X))
+    S = kept[0]
     box = sample.keep(("box", theta), lambda: _theta_rows(S, theta))
     design = rescale_design(generate_olhd(r, p, rng), box)
-    indices, dists = _claim_nearest((S, screen), design.points)
+    indices, dists, reranked = _claim_nearest(kept, design.points)
     diag = SelectionDiagnostics(
         kappa_sub=condition_number(sample.X[indices]),
         mean_nn_distance=float(dists.mean()),
+        reranked_points=reranked,
     )
     return SubsampleSelection(
         indices=indices,

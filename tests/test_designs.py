@@ -13,9 +13,12 @@ from lowcon import (
     rescale_design,
 )
 from lowcon.designs import (
+    _BOUND_MARGIN,
     DEFAULT_KAPPA_TARGET,
     _best_swap,
     _descend_correlations,
+    _gram_kappa,
+    _kappa_bound,
     _swap_scratch,
 )
 
@@ -289,6 +292,48 @@ class TestSwapDescent:
                     M = L.copy()
                     M[a, j], M[b, j] = M[b, j], M[a, j]
                     assert _offdiag_objective(M) >= obj * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("r, p, seeds", [(9, 2, 40), (20, 3, 40), (20, 10, 20),
+                                             (60, 10, 10), (100, 10, 5), (400, 20, 1)])
+    def test_kappa_bound_never_passes_a_gram_at_target(self, monkeypatch, r, p, seeds):
+        # every Gram matrix the descents check after a swap: the bound is a
+        # lower bound of the eigensolve's kappa, and where it passes the target
+        # by the margin the eigensolve's kappa is above the target too
+        seen = []
+
+        def recording_bound(G, diag):
+            bound = _kappa_bound(G, diag)
+            seen.append((G.copy(), diag, bound))
+            return bound
+
+        monkeypatch.setattr(designs, "_kappa_bound", recording_bound)
+        for seed in range(seeds):
+            generate_olhd(r, p, np.random.default_rng(seed))
+        assert seen
+        decided = 0
+        for G, diag, bound in seen:
+            assert diag == G[0, 0] and np.all(np.diag(G) == diag)
+            kappa = _gram_kappa(G)
+            assert bound <= kappa * (1.0 + 1e-12)
+            if bound > DEFAULT_KAPPA_TARGET * (1.0 + _BOUND_MARGIN):
+                assert kappa > DEFAULT_KAPPA_TARGET
+                decided += 1
+        if p == 10:
+            assert decided >= len(seen) // 2
+
+    @pytest.mark.parametrize("r, p, target", [(20, 10, DEFAULT_KAPPA_TARGET),
+                                              (40, 5, 1.01), (15, 3, 0.0),
+                                              (100, 10, DEFAULT_KAPPA_TARGET)])
+    def test_kappa_bound_changes_no_descent(self, monkeypatch, r, p, target):
+        # the descent with the bound and without it (an eigensolve after every
+        # swap) returns the same design, kappa and swap count, bit for bit
+        starts = [generate_lhd(r, p, np.random.default_rng(s)).points for s in range(8)]
+        got = [_descend_correlations(L.copy(), target, 200 * r * p) for L in starts]
+        monkeypatch.setattr(designs, "_kappa_bound", lambda G, diag: 0.0)
+        for L, (L1, kappa1, swaps1) in zip(starts, got):
+            L2, kappa2, swaps2 = _descend_correlations(L.copy(), target, 200 * r * p)
+            assert np.array_equal(L1, L2) and swaps1 == swaps2
+            assert kappa1 == kappa2 == _gram_kappa(np.rint(L1 * r).T @ np.rint(L1 * r))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_max_swaps_binds_within_a_sweep(self, k):

@@ -8,7 +8,19 @@ from lowcon import (
     leverage_scores,
     singular_values,
 )
-from lowcon.linalg import _require_int
+from lowcon.linalg import _aligned_empty, _require_int
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((3, 25600), np.float64), ((5, 50_000), np.float32), ((1,), np.float32),
+    ((7, 3), np.float64),
+])
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
+    for _ in range(8):  # several allocations, so several malloc addresses
+        a = _aligned_empty(shape, dtype)
+        assert a.shape == shape and a.dtype == dtype and a.flags["C_CONTIGUOUS"]
+        assert a.ctypes.data % 64 == 0
+        a[...] = 1  # writable over its whole extent
 
 
 @pytest.mark.parametrize("value, ok", [

@@ -100,14 +100,17 @@ class TestScaling:
         assert np.array_equal(X, before)
         assert scaled.shape == (257, 5) and scaled.flags["C_CONTIGUOUS"]
         assert np.array_equal(scaled, 2.0 * (X - lo) / (hi - lo) - 1.0)
-        S, screen = _scaled_sample(X)
+        S, screen, c = _scaled_sample(X)
         assert np.array_equal(X, before)
         assert np.array_equal(S.T, scaled)
+        assert same_bits(c, S.mean(axis=1))
         assert screen.dtype == np.float32 and screen.flags["C_CONTIGUOUS"]
-        assert np.array_equal(screen[:5], scaled.T.astype(np.float32))
-        # norms summed in float64, then rounded once to float32
-        assert np.allclose(screen[5], (scaled ** 2).sum(axis=1),
-                           rtol=1.0001 * 2.0 ** -24, atol=0.0)
+        # centred in float64, then rounded once to float32
+        assert same_bits(screen[:5], (S - c[:, None]).astype(np.float32))
+        # norms of the float32 rows, summed in float32: 5 roundings at most
+        rows = screen[:5].astype(np.float64)
+        assert np.allclose(screen[5], (rows ** 2).sum(axis=0),
+                           rtol=1.0001 * 5 * 2.0 ** -24, atol=0.0)
 
     @pytest.mark.parametrize("col", [[-1e308, 1e308, 0.0], [0.0, 1.6e308, 1.0]],
                              ids=["range-overflows", "twice-range-overflows"])
@@ -703,7 +706,7 @@ def test_claim_near_ties_match_greedy_oracle(n, p, corner):
     near = np.vstack([near, near[::3], near[::5]])
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
-    indices, dists = _claim_nearest(_scaled_sample(X), points)
+    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
     rows, mean_dist, ties = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -712,8 +715,9 @@ def test_claim_near_ties_match_greedy_oracle(n, p, corner):
 
 def _screen_argmin(sample, points):
     """Each point's best row by the float32 screening score alone."""
-    lhs = np.hstack([-2.0 * points, np.ones((len(points), 1))]).astype(np.float32)
-    return np.argmin(lhs @ sample[1], axis=1)
+    S, screen, c = sample
+    lhs = np.hstack([-2.0 * (points - c), np.ones((len(points), 1))]).astype(np.float32)
+    return np.argmin(lhs @ screen, axis=1)
 
 
 @pytest.mark.parametrize("n, p", [
@@ -732,7 +736,7 @@ def test_claim_micro_spread_matches_greedy_oracle(n, p):
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
     sample = _scaled_sample(X)
-    indices, dists = _claim_nearest(sample, points)
+    indices, dists, _ = _claim_nearest(sample, points)
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -740,23 +744,11 @@ def test_claim_micro_spread_matches_greedy_oracle(n, p):
     assert np.count_nonzero(_screen_argmin(sample, points) != exact) >= r // 2
 
 
-def _listed_candidates(monkeypatch):
-    """Record the size of every candidate list the claim builds."""
-    flatnonzero, sizes = np.flatnonzero, []
-
-    def counting_flatnonzero(a):
-        found = flatnonzero(a)
-        sizes.append(found.size)
-        return found
-
-    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
-    return sizes
-
-
-def test_claim_past_one_outlier_matches_greedy_oracle(monkeypatch):
+def test_claim_past_one_outlier_matches_greedy_oracle():
     # one row at 100 times the bulk's largest magnitude in every column packs
-    # the bulk into a corner of the cube, where the screen's tolerance, set by the largest norm, spans
-    # hundreds of bulk rows per point; all of them go through the re-rank
+    # the bulk into a corner of the cube; a tolerance set by the largest norm
+    # would span hundreds of bulk rows per point, while each point's own
+    # tolerance, centred on the bulk, leaves at most a few points to re-rank
     rng = np.random.default_rng(52)
     n, r = 3000, 30
     bulk = rng.standard_normal((n - 1, 3))
@@ -765,24 +757,138 @@ def test_claim_past_one_outlier_matches_greedy_oracle(monkeypatch):
     central = np.flatnonzero(np.abs(X).max(axis=1) < 1.0)
     points = sample[0][:, rng.choice(central, r, replace=False)].T
     points += 1e-3 * rng.standard_normal(points.shape)
-    sizes = _listed_candidates(monkeypatch)
-    indices, dists = _claim_nearest(sample, points)
-    monkeypatch.undo()
-    assert len(sizes) == r and min(sizes) > 100
+    indices, dists, reranked = _claim_nearest(sample, points)
+    assert reranked <= r // 10
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
+
+
+def test_claim_runner_up_at_the_tolerance_matches_greedy_oracle():
+    # p = 1, scaled rows that are their own values (min -1, max 1) with mean
+    # 0, and one point at 1: the scores N - 2 (q - c) y are exact in any
+    # order, the largest norm is 1 and |q - c| = 1, so tol is
+    # 4 (p+3) eps (1 + 1)^2 = 2^-17 exactly, and tol_i = 2^-16. Rows 1 and 2
+    # both sit at the point; row 1's screen entry is set 2^-18 low, as a
+    # rounding error could, which puts its score exactly at s_j + tol for
+    # j = 2. Equality is no margin: the claim must list both rows and take
+    # the lower one, as the exact scan does.
+    X = np.array([-1.0, 1.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25])[:, None]
+    S, screen, c = _scaled_sample(X)
+    assert same_bits(S, X.T) and c[0] == 0.0 and screen[1].max() == 1.0
+    screen[0, 1] = 1.0 - 2.0 ** -18
+    points = np.array([[1.0]])
+    scores = -2.0 * points[0, 0] * screen[0].astype(np.float64) + screen[1]
+    assert np.argmin(scores) == 2 and scores[1] - scores[2] == 2.0 ** -17
+    indices, dists, reranked = _claim_nearest((S, screen, c), points)
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert indices.tolist() == rows.tolist() == [1]
+    assert dists.mean() == mean_dist == 0.0
+    assert reranked == 1
+
+
+def _outlier_pairs(left, seed):
+    """2000 x 2 standard normal rows without any row within 0.3 of three
+    points P, one row at (1000, 1000), and per point a row 0.01 to the right
+    of P and one ``left`` to its left. Returns X and the points P, scaled."""
+    rng = np.random.default_rng(seed)
+    P = np.array([[0.3, 0.2], [-0.5, 0.4], [0.1, -0.6]])
+    bulk = rng.standard_normal((3000, 2))
+    bulk = bulk[np.linalg.norm(bulk[:, None, :] - P, axis=2).min(axis=1) > 0.3]
+    pairs = np.vstack([P + [0.01, 0.0], P - [left, 0.0]])
+    X = np.vstack([bulk[:2000 - len(pairs)], pairs, [[1000.0, 1000.0]]])
+    X = X[rng.permutation(len(X))]
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return X, 2.0 * (P - lo) / (hi - lo) - 1.0
+
+
+@pytest.mark.parametrize("left, reranked", [
+    # scaled squared distances 1.2e-9 apart: inside the global tolerance
+    # (above 4 (p+3) eps max|x - c|^2 ~ 2e-5, as the far row sets it) but
+    # outside each point's own (~1e-11), so no point lists candidates
+    pytest.param(0.02, 0, id="resolved-by-the-point-tolerance"),
+    # 8e-16 apart: inside both, so every point lists and re-ranks
+    pytest.param(0.01 + 1e-8, 3, id="still-listed"),
+])
+def test_claim_near_tie_past_an_outlier_matches_greedy_oracle(left, reranked):
+    X, points = _outlier_pairs(left, 57)
+    S, screen, c = sample = _scaled_sample(X)
+    scores = (-2.0 * (points - c)) @ screen[:2].astype(np.float64) + screen[2]
+    gap = np.diff(np.sort(scores, axis=1)[:, :2], axis=1)
+    assert np.all(gap < 4 * 5 * 2.0 ** -23 * screen[2].max())  # below the global tol
+    indices, dists, count = _claim_nearest(sample, points)
+    assert count == reranked
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+
+
+@pytest.mark.parametrize("n, later", [
+    pytest.param(400, 1, id="same-block"),
+    pytest.param(SEVEN_POINT_BLOCK_N, 7, id="next-block"),
+])
+def test_claim_with_claimed_runner_up_matches_greedy_oracle(n, later):
+    # rows A and B lie 0.02 apart; the first point sits on A and claims it;
+    # a later point sits 1e-9 nearer B than A, so A, its runner-up on the
+    # screen, is claimed by then. In one block the runner-up was taken before
+    # A was claimed, so it understates the point's current one: the claim
+    # must take B, not list A. One block later A already scores inf.
+    rng = np.random.default_rng(58)
+    p = 3
+    A = np.array([0.2, -0.1, 0.3])
+    B = A + [0.02, 0.0, 0.0]
+    far = rng.uniform(-1.0, 1.0, (4 * n, p))
+    far = far[np.linalg.norm(far - A, axis=1) > 0.2][: n - 4]
+    X = np.vstack([-np.ones(p), np.ones(p), far, A, B])[rng.permutation(n)]
+    fill = rng.uniform(-0.9, 0.9, (later - 1, p))
+    mid = (A + B) / 2 + [1e-9, 0.0, 0.0]
+    points = np.vstack([A, fill, mid, fill[:1]])
+    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+    assert indices[later] == np.flatnonzero((X == B).all(axis=1))[0]
+
+
+def test_claim_one_predictor_matches_greedy_oracle():
+    # p = 1: heavy tails, rounded (tied) values and one far row; points on
+    # rows, between rows and repeated
+    rng = np.random.default_rng(59)
+    x = np.round(rng.standard_t(2, 3000), 2)
+    x[17] = 500.0
+    X = x[:, None]
+    S = _scaled_sample(X)[0]
+    points = S[0, rng.choice(3000, 40)][:, None] + rng.choice([0.0, 1e-5, -3e-6], (40, 1))
+    points = np.vstack([points, points[:10]])
+    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
+    rows, mean_dist, ties = greedy_claim_oracle(X, points)
+    assert np.array_equal(indices, rows)
+    assert dists.mean() == mean_dist
+    assert ties >= 1
+
+
+def test_claim_on_50k_rows_with_one_at_1000_matches_greedy_oracle():
+    # the far-outlier case: 50k x 3 standard normal rows and one row at
+    # (1000, 1000, 1000); LOWCON re-ranks at most a tenth of its points
+    rng = np.random.default_rng(60)
+    X = np.vstack([rng.standard_normal((50_000, 3)), np.full((1, 3), 1000.0)])
+    r = 20
+    sel = lowcon(X, r, rng=np.random.default_rng(61), keep_design=True)
+    assert sel.diagnostics.reranked_points <= r // 10
+    rows, mean_dist, _ = greedy_claim_oracle(X, sel.design.points)
+    assert np.array_equal(sel.indices, rows)
+    assert sel.diagnostics.mean_nn_distance == mean_dist
 
 
 @pytest.mark.parametrize("n", [
     pytest.param(400, id="one-block"),
     pytest.param(SEVEN_POINT_BLOCK_N, id="block-boundaries"),
 ])
-def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(monkeypatch, n):
+def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(n):
     # every design point has its own rows 0.01, 0.02 and 0.03 away along a
     # ray, and no other row within 0.2, so squared distances to its nearest
     # rows differ by at least 3e-4, far above the screen's tolerance (about
-    # 2e-5 here): one row passes per point and no candidate list is built.
+    # 2e-5 here): no point re-ranks candidates.
     # Point a comes at 0 and 1, adjacent in one block, and again at 8, in the
     # next block when a block holds 7 points; point b comes at 6 and 7,
     # adjacent across that boundary. Each repeat takes the next-nearest row.
@@ -803,10 +909,8 @@ def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(monkeypatch,
     assert len(X) == n
     perm = rng.permutation(n)
     X = X[perm]
-    sizes = _listed_candidates(monkeypatch)
-    indices, dists = _claim_nearest(_scaled_sample(X), points)
-    monkeypatch.undo()
-    assert sizes == []
+    indices, dists, reranked = _claim_nearest(_scaled_sample(X), points)
+    assert reranked == 0
     row_of = np.argsort(perm)  # where each row of the stacked X landed
     for i, step in [(0, 0), (1, 1), (8, 2), (6, 0), (7, 1)]:
         assert indices[i] == row_of[2 + len(far) + 3 * order[i] + step], i
@@ -816,15 +920,13 @@ def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(monkeypatch,
 
 
 @pytest.mark.parametrize("dist", ["D1", "D3"])
-def test_paper_data_claim_single_candidates_match_greedy_oracle(monkeypatch, dist):
+def test_paper_data_claim_single_candidates_match_greedy_oracle(dist):
     # on the paper's predictors one row passes the screen for nearly every
-    # design point, so nearly no point builds a candidate list
+    # design point, so nearly no point re-ranks candidates
     r = 40
     X = gen_predictors(dist, 2000, 10, np.random.default_rng(54))
-    sizes = _listed_candidates(monkeypatch)
     sel = lowcon(X, r, rng=np.random.default_rng(55), keep_design=True)
-    monkeypatch.undo()
-    assert len(sizes) <= r // 10
+    assert sel.diagnostics.reranked_points <= r // 10
     rows, mean_dist, _ = greedy_claim_oracle(X, sel.design.points)
     assert np.array_equal(sel.indices, rows)
     assert sel.diagnostics.mean_nn_distance == mean_dist
