@@ -602,8 +602,10 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     """Read a numeric dataset from CSV, dropping incomplete rows.
 
     The header names the columns, with the ``csv`` module's quoting rules;
-    a repeated name means its last column. Column order follows
-    ``predictor_columns``. The data rows follow these rules:
+    a name repeated in the header means its last column. Column order
+    follows ``predictor_columns``; a name that the response and the
+    predictors repeat raises ``ConfigError``. The data rows follow these
+    rules:
 
     * a row that is short of a selected column, or has a selected value
       that is not a number, is dropped and counted;
@@ -625,6 +627,9 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     """
     path = Path(path)
     wanted = [response_column] + list(predictor_columns)
+    repeats = [c for i, c in enumerate(wanted) if c in wanted[:i]]
+    if repeats:
+        raise ConfigError(f"response and predictors repeat column {repeats[0]!r}")
     with path.open(newline="") as fh:
         try:
             header = next(csv.reader(fh), [])

@@ -40,9 +40,10 @@ class SelectionDiagnostics:
 class SubsampleSelection:
     """Chosen row indices plus optional fit weights and method diagnostics.
 
-    ``design`` and ``perturbation`` are populated only by :func:`lowcon`
-    when asked to keep them: the design points in the scaled space and the
-    matrix of (claimed point - design point) rows.
+    Every :func:`lowcon` selection carries ``design`` and ``perturbation``:
+    the design points L in the scaled space and the r x p matrix D of
+    (claimed row - design point), so the claimed scaled rows are L + D. The
+    baselines leave both None.
     """
 
     indices: np.ndarray
@@ -246,11 +247,13 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
     """Claim each design point's nearest unclaimed row, in design order.
 
     ``sample`` is the triple (S, screen, c) that ``_scaled_sample`` keeps.
-    Returns the claimed rows, their distances and how many points had their
-    candidates re-ranked. The rows and distances are the ones a scan of
-    the direct-difference distances ``((x - q)**2).sum()`` over the scaled
-    rows x of S per point q gives, first ``argmin``, with claimed rows
-    excluded: the same rows, ties to the lowest row, and the same distances
+    Returns the claimed rows, their offsets from the design points (the
+    C-contiguous r x p array ``x - q`` per claimed row x and point q) and
+    how many points had their candidates re-ranked. The rows are the ones
+    a scan of the direct-difference distances ``((x - q)**2).sum()`` over
+    the scaled rows x of S per point q gives, first ``argmin``, with
+    claimed rows excluded: the same rows, ties to the lowest row, and
+    ``np.sqrt((offsets ** 2).sum(axis=1))`` gives that scan's distances
     bit for bit.
 
     Screen: for a block of design points, one float32 GEMM
@@ -280,8 +283,9 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
     float32, and ``s_j + tol`` is summed in float32. Only when both tests
     fail are the rows with ``s <= s_j + tol_i`` listed, in row order, and
     ranked by the direct-difference expression on S, first minimum. The
-    distances of all r picks come from one pass of that expression at the
-    end, which is the expression row by row, so they keep its bits.
+    offsets of all r picks come from one subtraction at the end, the
+    expression's own differences, so the distances summed from them keep
+    its bits.
 
     Why this is exact. Let u = 2^-24 be float32's unit roundoff,
     gamma_k = k u / (1 - k u), y = x - c and t = q - c exactly, so that
@@ -383,8 +387,7 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
                     reranked += 1
             indices[i] = j
             s[i - start + 1:, j] = np.inf
-    dists = np.sqrt(((np.ascontiguousarray(S[:, indices].T) - points) ** 2).sum(axis=1))
-    return indices, dists, reranked
+    return indices, np.ascontiguousarray(S[:, indices].T) - points, reranked
 
 
 def _selection(X: np.ndarray, indices: np.ndarray,
@@ -430,6 +433,12 @@ def lowcon(
     ``_claim_nearest`` gives the tolerances and why the nearest row always
     passes them. The claim holds at most 1 MiB of scores, whatever r is
     (``2^18 // n`` design points per block, and at least one).
+
+    The selection always carries the design and the perturbation, each
+    claimed scaled row minus its design point, with
+    ``diagnostics.mean_nn_distance`` the mean of the perturbation's row
+    norms. ``keep_design`` is ignored: it stays only for callers that still
+    pass it.
     """
     _check_r(r, positive=False)  # r <= p raises InfeasibleDesign
     sample = _prepare(X)
@@ -440,17 +449,14 @@ def lowcon(
     S = kept[0]
     box = sample.keep(("box", theta), lambda: _theta_rows(S, theta))
     design = rescale_design(generate_olhd(r, p, rng), box)
-    indices, dists, reranked = _claim_nearest(kept, design.points)
+    indices, offsets, reranked = _claim_nearest(kept, design.points)
     diag = SelectionDiagnostics(
         kappa_sub=condition_number(sample.X[indices]),
-        mean_nn_distance=float(dists.mean()),
+        mean_nn_distance=float(np.sqrt((offsets ** 2).sum(axis=1)).mean()),
         reranked_points=reranked,
     )
     return SubsampleSelection(
-        indices=indices,
-        diagnostics=diag,
-        design=design if keep_design else None,
-        perturbation=(S[:, indices].T - design.points) if keep_design else None,
+        indices=indices, diagnostics=diag, design=design, perturbation=offsets
     )
 
 
@@ -589,5 +595,5 @@ _SAMPLERS = {
     "SLEV": lambda X, r, rng, theta: slev(X, r, rng),
     "LEVUNW": lambda X, r, rng, theta: levunw(X, r, rng),
     "IBOSS": lambda X, r, rng, theta: iboss(X, r),
-    "LOWCON": lambda X, r, rng, theta: lowcon(X, r, theta, rng=rng, keep_design=True),
+    "LOWCON": lambda X, r, rng, theta: lowcon(X, r, theta, rng=rng),
 }

@@ -213,7 +213,7 @@ def test_criterion_8_oracle_suites():
 
     # LOWCON's claim step against a linear scan over the unclaimed rows
     pts = rng.standard_normal((800, 4))
-    sel = lowcon(pts, 200, rng=rng, keep_design=True)
+    sel = lowcon(pts, 200, rng=rng)
     scaled, _ = scale_to_cube(pts)
     free = np.ones(len(pts), dtype=bool)
     for q, got in zip(sel.design.points, sel.indices):

@@ -323,6 +323,20 @@ def test_other_package_error_exit_code(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
+@pytest.mark.parametrize("predictors, name", [("a,a", "a"), ("y,a", "y")],
+                         ids=["predictor-twice", "response-as-predictor"])
+def test_emse_column_named_twice_exit_code(tmp_path, capsys, predictors, name):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 100))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a + b, a, b])
+    args = _emse_args(tmp_path, data, ["UNIF"])
+    args[-1] = predictors
+    assert main(args) == 2
+    err = _single_error_line(capsys, "config error:").err
+    assert f"repeat column '{name}'" in err
+
+
 @pytest.mark.parametrize("n_pred, r, method, need", [
     (2, 60, "LOWCON", "r < n"),
     (30, 25, "LOWCON", "r > p"),

@@ -118,6 +118,23 @@ class TestOlhd:
         assert np.isfinite(d.kappa)
         assert d.kappa > 1.13
 
+    # shapes and seeds where all 20 restarts miss the target: at (11, 10)
+    # only the tenth candidate reaches the lowest kappa; at (5, 3) 13
+    # candidates tie at it, the first and the twentieth among them
+    @pytest.mark.parametrize("r, p, seed", [(11, 10, 1), (5, 3, 0)])
+    def test_missed_target_returns_first_lowest_kappa_candidate(self, r, p, seed):
+        d = generate_olhd(r, p, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        candidates = [
+            _descend_correlations(designs._random_lhd_points(r, p, rng),
+                                  DEFAULT_KAPPA_TARGET, designs._SWAPS_PER_ENTRY * r * p)[:2]
+            for _ in range(designs._MAX_RESTARTS)
+        ]
+        kappas = [kap for _, kap in candidates]
+        assert min(kappas) > DEFAULT_KAPPA_TARGET
+        first = candidates[kappas.index(min(kappas))][0]
+        assert first.tobytes() == d.points.tobytes()
+
 
 def _offdiag_objective(L):
     G = L.T @ L

@@ -49,7 +49,7 @@ def olhd_digest(shape):
 def lowcon_digest(name):
     X, out = inputs(name), []
     for r, theta in ((12, 1.0), (40, 10.0)):
-        sel = lowcon(X, r, theta, rng=np.random.default_rng([r, 90]), keep_design=True)
+        sel = lowcon(X, r, theta, rng=np.random.default_rng([r, 90]))
         out += [sel.indices, sel.perturbation, np.float64(sel.diagnostics.mean_nn_distance)]
     return digest(*out)
 

@@ -568,7 +568,7 @@ class TestDiagnose:
         # the same selection, from diagnose's derived data and sampler seeds
         X, _, _ = harness._simulate_data(cfg, 20, replicate=0, attempt=0)
         rng = harness._sampler_rng(cfg.seed, harness._cell_key(cfg), 20, 0, 0, "LOWCON")
-        sel = samplers.lowcon(X, 20, theta=cfg.theta, rng=rng, keep_design=True)
+        sel = samplers.lowcon(X, 20, theta=cfg.theta, rng=rng)
         assert sel.diagnostics.kappa_sub == low.kappa_sub
         L, D = sel.design.points, sel.perturbation
         ev_L = np.linalg.eigvalsh(L.T @ L)
@@ -666,6 +666,17 @@ class TestCsvIngestion:
         path.write_text("y,a\n1,2\n")
         with pytest.raises(ColumnMissing):
             ingest_csv(path, "y", ["a", "zz"])
+
+    @pytest.mark.parametrize("response, predictors, name", [
+        ("y", ["a", "a"], "a"),
+        ("y", ["y", "a"], "y"),
+        ("y", ["a", "b", "a"], "a"),
+    ], ids=["predictor-twice", "response-as-predictor", "predictor-apart"])
+    def test_column_named_twice(self, tmp_path, response, predictors, name):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,b\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(ConfigError, match=f"repeat column '{name}'$"):
+            ingest_csv(path, response, predictors)
 
     def test_empty_after_filtering(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -596,11 +596,21 @@ class TestLowcon:
 
     def test_keep_design_exposes_decomposition(self):
         X = np.random.default_rng(33).standard_normal((300, 2))
-        sel = lowcon(X, 12, rng=np.random.default_rng(34), keep_design=True)
+        sel = lowcon(X, 12, rng=np.random.default_rng(34))
         scaled, _ = scale_to_cube(X)
         assert np.allclose(
             sel.design.points + sel.perturbation, scaled[sel.indices], atol=1e-12
         )
+
+    @pytest.mark.parametrize("kwargs", [{}, {"keep_design": False}],
+                             ids=["no-keyword", "keep-design-false"])
+    def test_every_selection_carries_design_and_perturbation(self, kwargs):
+        X = np.random.default_rng(37).standard_t(3, (400, 3))
+        sel = lowcon(X, 15, rng=np.random.default_rng(38), **kwargs)
+        S = _scaled_sample(X)[0]
+        assert same_bits(sel.perturbation, S[:, sel.indices].T - sel.design.points)
+        norms = np.sqrt((sel.perturbation ** 2).sum(axis=1))
+        assert sel.diagnostics.mean_nn_distance == float(norms.mean())
 
     def test_requires_strictly_more_rows(self):
         X = np.random.default_rng(35).standard_normal((10, 2))
@@ -667,11 +677,19 @@ def _lattice_5x5():
 )
 def test_lowcon_claims_match_greedy_oracle(make_X, r, theta, min_ties):
     X = make_X()
-    sel = lowcon(X, r, theta=theta, rng=np.random.default_rng(r), keep_design=True)
+    sel = lowcon(X, r, theta=theta, rng=np.random.default_rng(r))
     rows, mean_dist, ties = greedy_claim_oracle(X, sel.design.points)
     assert np.array_equal(sel.indices, rows)
     assert sel.diagnostics.mean_nn_distance == mean_dist
     assert ties >= min_ties
+
+
+def _claim_distances(sample, points):
+    """``_claim_nearest`` with each claimed row's distance from its point in
+    place of the offsets, taken from them as ``lowcon`` takes
+    ``mean_nn_distance``."""
+    indices, offsets, reranked = _claim_nearest(sample, points)
+    return indices, np.sqrt((offsets ** 2).sum(axis=1)), reranked
 
 
 # a sample of this many rows leaves room for 7 points' screening scores in
@@ -706,7 +724,7 @@ def test_claim_near_ties_match_greedy_oracle(n, p, corner):
     near = np.vstack([near, near[::3], near[::5]])
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
-    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
+    indices, dists, _ = _claim_distances(_scaled_sample(X), points)
     rows, mean_dist, ties = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -736,7 +754,7 @@ def test_claim_micro_spread_matches_greedy_oracle(n, p):
     far = rng.uniform(-1.0, 1.0, (n - len(near) - 2, p))
     X = np.vstack([-np.ones(p), np.ones(p), far, near])[rng.permutation(n)]
     sample = _scaled_sample(X)
-    indices, dists, _ = _claim_nearest(sample, points)
+    indices, dists, _ = _claim_distances(sample, points)
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -757,7 +775,7 @@ def test_claim_past_one_outlier_matches_greedy_oracle():
     central = np.flatnonzero(np.abs(X).max(axis=1) < 1.0)
     points = sample[0][:, rng.choice(central, r, replace=False)].T
     points += 1e-3 * rng.standard_normal(points.shape)
-    indices, dists, reranked = _claim_nearest(sample, points)
+    indices, dists, reranked = _claim_distances(sample, points)
     assert reranked <= r // 10
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
@@ -780,7 +798,7 @@ def test_claim_runner_up_at_the_tolerance_matches_greedy_oracle():
     points = np.array([[1.0]])
     scores = -2.0 * points[0, 0] * screen[0].astype(np.float64) + screen[1]
     assert np.argmin(scores) == 2 and scores[1] - scores[2] == 2.0 ** -17
-    indices, dists, reranked = _claim_nearest((S, screen, c), points)
+    indices, dists, reranked = _claim_distances((S, screen, c), points)
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert indices.tolist() == rows.tolist() == [1]
     assert dists.mean() == mean_dist == 0.0
@@ -816,7 +834,7 @@ def test_claim_near_tie_past_an_outlier_matches_greedy_oracle(left, reranked):
     scores = (-2.0 * (points - c)) @ screen[:2].astype(np.float64) + screen[2]
     gap = np.diff(np.sort(scores, axis=1)[:, :2], axis=1)
     assert np.all(gap < 4 * 5 * 2.0 ** -23 * screen[2].max())  # below the global tol
-    indices, dists, count = _claim_nearest(sample, points)
+    indices, dists, count = _claim_distances(sample, points)
     assert count == reranked
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
@@ -843,7 +861,7 @@ def test_claim_with_claimed_runner_up_matches_greedy_oracle(n, later):
     fill = rng.uniform(-0.9, 0.9, (later - 1, p))
     mid = (A + B) / 2 + [1e-9, 0.0, 0.0]
     points = np.vstack([A, fill, mid, fill[:1]])
-    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
+    indices, dists, _ = _claim_distances(_scaled_sample(X), points)
     rows, mean_dist, _ = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -860,7 +878,7 @@ def test_claim_one_predictor_matches_greedy_oracle():
     S = _scaled_sample(X)[0]
     points = S[0, rng.choice(3000, 40)][:, None] + rng.choice([0.0, 1e-5, -3e-6], (40, 1))
     points = np.vstack([points, points[:10]])
-    indices, dists, _ = _claim_nearest(_scaled_sample(X), points)
+    indices, dists, _ = _claim_distances(_scaled_sample(X), points)
     rows, mean_dist, ties = greedy_claim_oracle(X, points)
     assert np.array_equal(indices, rows)
     assert dists.mean() == mean_dist
@@ -873,7 +891,7 @@ def test_claim_on_50k_rows_with_one_at_1000_matches_greedy_oracle():
     rng = np.random.default_rng(60)
     X = np.vstack([rng.standard_normal((50_000, 3)), np.full((1, 3), 1000.0)])
     r = 20
-    sel = lowcon(X, r, rng=np.random.default_rng(61), keep_design=True)
+    sel = lowcon(X, r, rng=np.random.default_rng(61))
     assert sel.diagnostics.reranked_points <= r // 10
     rows, mean_dist, _ = greedy_claim_oracle(X, sel.design.points)
     assert np.array_equal(sel.indices, rows)
@@ -909,7 +927,7 @@ def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(n):
     assert len(X) == n
     perm = rng.permutation(n)
     X = X[perm]
-    indices, dists, reranked = _claim_nearest(_scaled_sample(X), points)
+    indices, dists, reranked = _claim_distances(_scaled_sample(X), points)
     assert reranked == 0
     row_of = np.argsort(perm)  # where each row of the stacked X landed
     for i, step in [(0, 0), (1, 1), (8, 2), (6, 0), (7, 1)]:
@@ -925,7 +943,7 @@ def test_paper_data_claim_single_candidates_match_greedy_oracle(dist):
     # design point, so nearly no point re-ranks candidates
     r = 40
     X = gen_predictors(dist, 2000, 10, np.random.default_rng(54))
-    sel = lowcon(X, r, rng=np.random.default_rng(55), keep_design=True)
+    sel = lowcon(X, r, rng=np.random.default_rng(55))
     assert sel.diagnostics.reranked_points <= r // 10
     rows, mean_dist, _ = greedy_claim_oracle(X, sel.design.points)
     assert np.array_equal(sel.indices, rows)
@@ -983,7 +1001,7 @@ def test_lowcon_computes_no_design_metric(monkeypatch):
         return corrcoef(*args, **kwargs)
 
     monkeypatch.setattr(np, "corrcoef", counting_corrcoef)
-    sel = lowcon(X, 30, rng=np.random.default_rng(64), keep_design=True)
+    sel = lowcon(X, 30, rng=np.random.default_rng(64))
     assert calls == []
     assert 0.0 <= sel.design.max_abs_corr < 1.0  # a read computes it
     assert len(calls) == 1
