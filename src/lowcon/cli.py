@@ -13,7 +13,8 @@ Exit codes, each failure reported as one line on stderr:
   p cannot give a nonsingular design or the OLHD descent would need more
   than 2 GiB (8 r^2 bytes, so r > 16384), or a ``MemoryError`` when a size
   such as n or r asks for more memory than numpy can allocate (the line
-  names the subcommand)
+  names the subcommand); a size past int64, in a config or an olhd flag, is
+  a ``ConfigError``
 * 3 data error: ``DataError``, an input or output file that cannot be
   opened (the output path is checked before the run starts), or, in
   diagnose, ``DegenerateBox`` when a predictor column leaves a zero-width
@@ -149,8 +150,10 @@ def _cmd_olhd(args) -> int:
         raise ConfigError(f"olhd needs --r >= 2, got {args.r}")
     if args.seed < 0:
         raise ConfigError(f"olhd needs --seed >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    design = generate_olhd(args.r, args.p, rng)
+    try:
+        design = generate_olhd(args.r, args.p, np.random.default_rng(args.seed))
+    except ValueError as exc:  # --r or --p past int64, or past numpy's size limit
+        raise ConfigError(f"olhd: {exc}") from None
     print(f"kappa={design.kappa!r} max_abs_corr={design.max_abs_corr!r}")
     for point in design.points:
         print(",".join(repr(float(v)) for v in point))

@@ -63,8 +63,8 @@ from .exceptions import (
     LowconError,
     RankDeficient,
 )
-from .linalg import least_squares, singular_values
-from .samplers import _SAMPLERS, _Prepared
+from .linalg import _require_int, least_squares, singular_values
+from .samplers import _SAMPLERS, _Prepared, _frozen
 
 METHODS = tuple(_SAMPLERS)
 MODES = ("simulate", "realdata", "toy")
@@ -143,6 +143,18 @@ class ExperimentConfig:
                 _check_type(name, getattr(self, name), kind, what)
         for r in self.r_list or ():
             _check_type("each r in r_list", r, Integral, "an integer")
+        for name in ("n", "p", "replicates"):  # a seed of any size seeds numpy
+            try:
+                _require_int(getattr(self, name), name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        for name in ("theta", "sigma2"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise ConfigError(
+                    f"{name} must be a real number that a float holds, "
+                    f"got {getattr(self, name)!r}") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in MODES:
@@ -256,12 +268,11 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        X = np.array(self.X_raw, dtype=np.float64, order="C")
+        X = _frozen(self.X_raw)
         try:
             sample = _Prepared(X)  # the package's matrix check
         except ValueError as exc:
             raise ValueError(f"X_raw: {exc}") from None
-        X.flags.writeable = False
         object.__setattr__(self, "X_raw", X)
         object.__setattr__(self, "_sample", sample)
         if self.y is None:

@@ -1,9 +1,9 @@
 """Dense linear-algebra primitives shared by every other module.
 
 This module owns six rules that the rest of the package calls rather than
-restates: the size check (an integer, not a bool), the noise-scale check (a
-finite value >= 0), the misspecification-scale check (a finite alpha > 0),
-the matrix check (2-d, non-empty, finite), the rank rule (one
+restates: the size check (an integer that int64 holds, not a bool), the
+noise-scale check (a finite value >= 0), the misspecification-scale check (a
+finite alpha > 0), the matrix check (2-d, non-empty, finite), the rank rule (one
 machine-precision-scaled cutoff, so every caller agrees on what "rank
 deficient" means) and the weighted least-squares solve. All routines work
 from an orthogonal factorization (SVD); nothing here forms an explicit
@@ -21,11 +21,16 @@ from .exceptions import RankDeficient
 RANK_RTOL = 1e-12
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _require_int(value, name: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer: numpy
-    integers count, a bool and an integral float do not."""
+    """ValueError naming ``name`` unless ``value`` is an integer that int64
+    holds: numpy integers count, a bool and an integral float do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{name} must fit in int64, got {name}={value}")
 
 
 def _require_noise_scale(value, name: str) -> None:

@@ -4,11 +4,18 @@ Every sampler takes the full predictor matrix and a target size r and returns
 a :class:`SubsampleSelection`. Probability-weighted samplers (blev, slev)
 attach reciprocal inclusion-probability weights for weighted least squares;
 the rest select rows for a plain fit.
+
+Each sampler works on a prepared sample (``_Prepared``), which keeps what the
+samplers derive from X alone. A public call on a plain matrix reuses the
+sample of the last call that computed leverages, while it passes the same
+array object with unchanged contents (``_prepare``), so calls on one X share
+that work and one leverage SVD.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,12 +188,15 @@ class _Prepared:
     bytes, as for an uncentred screen), box per theta, the leverages
     (8n bytes), the leverage draw table per alpha (``_leverage_table``, 16n
     bytes each: blev builds alpha 1, which levunw reuses, and slev 0.9) and
-    IBOSS per r (r indices). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per
-    table, plus the IBOSS picks."""
+    IBOSS per r (r indices, read-only since every call returns the same
+    selection). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per table, plus
+    the IBOSS picks. X is the caller's matrix until ``share`` swaps in the
+    sample's own ``_frozen`` copy."""
 
-    def __init__(self, X):
+    def __init__(self, X, ref=None):
         self.X = _as_matrix(X)
         self._kept: dict = {}
+        self._ref = ref  # weak reference to the caller's array, until shared
 
     def keep(self, key, build):
         if key not in self._kept:
@@ -199,9 +209,62 @@ class _Prepared:
             raise kept.with_traceback(None)
         return kept
 
+    def share(self) -> None:
+        """Make a sample ``_prepare`` built on a caller's array the kept public
+        sample: it swaps in its own ``_frozen`` copy of X first, so nothing it
+        keeps from now on can go stale when the caller writes the array. A
+        no-op on any other sample."""
+        global _last
+        if self._ref is not None:
+            self.X = _frozen(self.X)
+            _last, self._ref = (self._ref, self), None
+
+
+def _frozen(X) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of X (8np bytes), which no
+    caller can write."""
+    A = np.array(X, dtype=np.float64, order="C")
+    A.flags.writeable = False
+    return A
+
+
+# (weak reference to the caller's array, the sample built from it) of the
+# last public call that shared its sample, or None
+_last = None
+
+
+def _forget(ref) -> None:
+    """Drop the kept sample once the array it was built from is freed."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
 
 def _prepare(X) -> _Prepared:
-    return X if isinstance(X, _Prepared) else _Prepared(X)
+    """The prepared sample a sampler works on: X itself when it is one, else
+    the kept public sample, when X is the array object it was built from and
+    X's contents, as float64, are byte-equal to its copy (compared as int64,
+    so -0.0 differs from 0.0); else a new sample on X. A new sample is kept
+    only once it computes leverages (``_Prepared.share``): that SVD costs far
+    more than the copy of X sharing takes, while what iboss and lowcon keep
+    costs about as much as the copy to rebuild, so unif, iboss and lowcon
+    calls never copy X. A hit costs one comparison pass over X and the copy in
+    place of the finite check. The kept sample holds its 8np-byte copy and
+    all its kept work, lowcon's included, until X is freed or another
+    array's sample is shared. Objects that take no weak reference, such as
+    lists, are never kept."""
+    if isinstance(X, _Prepared):
+        return X
+    last = _last
+    if last is not None and last[0]() is X:
+        A = np.asarray(X, dtype=np.float64)
+        if np.array_equal(A.view(np.int64), last[1].X.view(np.int64)):
+            return last[1]
+    try:
+        ref = weakref.ref(X, _forget)
+    except TypeError:
+        ref = None
+    return _Prepared(X, ref)
 
 
 def _check_r(r, *, positive: bool = True) -> None:
@@ -483,8 +546,12 @@ def _leverage_table(X, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     reuses, and slev builds 0.9."""
     sample = _prepare(X)
 
+    def leverages():
+        sample.share()  # later calls on the same, unchanged X reuse the SVD
+        return leverage_scores(sample.X)
+
     def build():
-        h = sample.keep("leverage", lambda: leverage_scores(sample.X))
+        h = sample.keep("leverage", leverages)
         pi = alpha * h / h.sum() + (1.0 - alpha) / sample.X.shape[0]
         pi /= pi.sum()
         cdf = pi.cumsum()
@@ -582,6 +649,7 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
         keys[indices[:done]] = np.inf
         indices[done:done + count] = _lowest(keys, count)
         done += count
+    indices.flags.writeable = False  # kept, so every call returns these
     return _selection(X, indices)
 
 

@@ -474,3 +474,76 @@ def test_diagnose_huge_alpha_prints_inf_bound(sim_config, capsys):
     lines = captured.out.strip().splitlines()
     assert len(lines) == 2 and captured.err == ""
     assert all("worst_case=inf" in line.split() for line in lines)
+
+
+BIG = 10**30  # past int64
+BAD_VALUES = [None, True, "x", -1, 0, float("nan"), float("inf"), float("-inf"),
+              [], [[1]], BIG]
+
+
+@pytest.mark.parametrize("field", [
+    "mode", "dist", "misspec", "n", "p", "r_list", "theta", "sigma2", "replicates",
+    "seed", "methods", "output_path",
+])
+def test_bad_config_values_exit_0_or_2_with_one_line(sim_config, tmp_path, capsys, field):
+    raw = json.loads(sim_config.read_text())
+    raw.update(theta=1.0, sigma2=1.0, output_path=None)
+    for value in BAD_VALUES:
+        raw[field] = value
+        sim_config.write_text(json.dumps(raw))
+        for argv in (["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o.csv")],
+                     ["diagnose", "--config", str(sim_config), "--alpha", "1"]):
+            code = main(argv)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code in (0, 2), (argv[0], value, code, err)
+            assert len(err) == (code == 2), (argv[0], value, err)
+            assert code == 0 or err[0].startswith("config error:"), (argv[0], value, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--r", str(BIG), "--p", "2"], f"r must fit in int64, got r={BIG}"),
+    (["--r", "10", "--p", str(BIG)], f"p must fit in int64, got p={BIG}"),
+    (["--r", str(2**62), "--p", "2"], "olhd: "),  # past numpy's array size limit
+], ids=["r", "p", "r-past-numpy"])
+def test_olhd_past_int64_exit_code(argv, message, capsys):
+    assert main(["olhd"] + argv) == 2
+    captured = _single_error_line(capsys, "config error: olhd: ")
+    assert message in captured.err and captured.out == ""
+
+
+def test_olhd_seed_past_int64_runs(capsys):
+    assert main(["olhd", "--r", "9", "--p", "2", "--seed", str(BIG)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+@pytest.mark.parametrize("flag, code", [("--r", 2), ("--replicates", 2), ("--seed", 0)])
+def test_toy_past_int64(flag, code, capsys):
+    argv = {"--r": "10", "--replicates": "2", "--seed": "0"}
+    argv[flag] = str(BIG)
+    assert main(["toy"] + [a for kv in argv.items() for a in kv]) == code
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("config error:") and str(BIG) in err[0]
+    else:
+        assert err == [] and "LOWCON" in captured.out
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("n", BIG, 2), ("replicates", BIG, 2), ("r_list", [BIG], 2), ("theta", 10**400, 2),
+    ("seed", BIG, 0),
+])
+def test_emse_past_int64(tmp_path, capsys, field, value, code):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 80))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a - b, a, b])
+    args = _emse_args(tmp_path, data, ["UNIF", "LOWCON"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+    assert main(args) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("config error:") and field in err[0]
+    else:
+        assert err == []

@@ -104,6 +104,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(methods=("UNIF", "NOPE"))
 
+    def test_theta_and_sigma2_stored_as_floats(self):
+        cfg = small_config(theta=1, sigma2=10**30)
+        assert type(cfg.theta) is float and cfg.theta == 1.0
+        assert type(cfg.sigma2) is float and cfg.sigma2 == 1e30
+        with pytest.raises(ConfigError, match="sigma2 must be a real number that a float holds"):
+            small_config(sigma2=10**400)
+
+    @pytest.mark.parametrize("field", ["n", "p", "replicates"])
+    def test_sizes_past_int64_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must fit in int64, got {field}={2**63}$"):
+            small_config(**{field: 2**63})
+
+    def test_seed_past_int64_accepted(self):
+        assert small_config(seed=10**30).seed == 10**30
+
     def test_repeated_r_rejected(self):
         # a repeated r would rerun its cells and overwrite their read counts
         with pytest.raises(ConfigError, match="r_list repeats 16"):

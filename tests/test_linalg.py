@@ -35,6 +35,18 @@ def test_require_int_names_the_argument(value, ok):
             _require_int(value, "k")
 
 
+@pytest.mark.parametrize("value, ok", [
+    (2**63 - 1, True), (-2**63, True), (np.uint64(2**63 - 1), True),
+    (2**63, False), (-2**63 - 1, False), (10**30, False), (np.uint64(2**64 - 1), False),
+])
+def test_require_int_rejects_what_int64_cannot_hold(value, ok):
+    if ok:
+        _require_int(value, "k")
+    else:
+        with pytest.raises(ValueError, match=rf"^k must fit in int64, got k={int(value)}$"):
+            _require_int(value, "k")
+
+
 def hat_diag_oracle(X):
     """Dense hat-matrix diagonal via an explicit inverse (test oracle only)."""
     return np.diag(X @ np.linalg.inv(X.T @ X) @ X.T)

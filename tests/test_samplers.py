@@ -1,5 +1,9 @@
+import gc
 import itertools
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from lowcon import (
     theta_box,
     unif,
 )
+from lowcon import samplers
 from lowcon.samplers import (
     _CLAIM_BLOCK_BYTES,
     _SAMPLERS,
@@ -524,6 +529,15 @@ class TestIboss:
         X = np.random.default_rng(23).standard_normal((50, 2))
         assert np.array_equal(iboss(X, 8).indices, iboss(X, 8).indices)
 
+    def test_kept_indices_are_read_only(self):
+        X = np.random.default_rng(23).standard_normal((50, 2))
+        sel = iboss(X, 12)
+        with pytest.raises(ValueError, match="read-only"):
+            sel.indices.sort()
+        with pytest.raises(ValueError, match="read-only"):
+            sel.indices[0] = 0
+        assert same_bits(iboss(X, 12).indices, iboss(X.copy(), 12).indices)
+
     def test_preconditions(self):
         X = np.random.default_rng(24).standard_normal((10, 3))
         with pytest.raises(ValueError):
@@ -988,8 +1002,123 @@ def test_leverage_svd_once_per_sample(monkeypatch):
         slev(sample, r, np.random.default_rng(r))
         levunw(sample, r, np.random.default_rng(r))
     assert len(inputs) == 1 and np.array_equal(inputs[0], X)
-    blev(X, 20, np.random.default_rng(0))  # a raw matrix gets its own sample
+    # a raw matrix gets its own sample, which the next public calls on X reuse
+    for sampler in (blev, slev, levunw):
+        sampler(X, 20, np.random.default_rng(0))
     assert len(inputs) == 2
+
+
+def select(X, method, seed):
+    return _SAMPLERS[method](X, 30, np.random.default_rng(seed), 5.0)
+
+
+def select_all(X, methods, seed):
+    """Each method's public selection on X, in order, with its own rng."""
+    return [select(X, m, [seed, k]) for k, m in enumerate(methods)]
+
+
+def assert_same_selections(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert same_bits(g.indices, w.indices)
+        assert (g.weights is None) == (w.weights is None)
+        if g.weights is not None:
+            assert same_bits(g.weights, w.weights)
+        assert g.diagnostics == w.diagnostics
+        assert (g.design is None) == (w.design is None)
+        if g.design is not None:
+            assert same_bits(g.design.points, w.design.points)
+            assert same_bits(g.perturbation, w.perturbation)
+
+
+def shared_data(seed=80):
+    rng = np.random.default_rng(seed)
+    return rng.standard_t(3, (500, 3)) * [1.0, 5.0, 0.2] + [0.0, 3.0, -1.0]
+
+
+@pytest.mark.parametrize("order", ["table", "reversed"])
+def test_public_calls_on_one_array_match_fresh_copies(order):
+    methods = list(_SAMPLERS) if order == "table" else list(_SAMPLERS)[::-1]
+    X = shared_data()
+    want = [select(X.copy(), m, [81, k]) for k, m in enumerate(methods * 2)]
+    got = select_all(X, methods * 2, 81)
+    assert_same_selections(got, want)
+
+
+def test_public_call_after_an_in_place_write_matches_a_fresh_copy():
+    X = shared_data()
+    written = X.copy()
+    written[7, 1] = 1e3  # a new column max: every selection changes
+    want = select_all(written.copy(), _SAMPLERS, 82)
+    before = select_all(X, _SAMPLERS, 82)
+    X[7, 1] = 1e3
+    got = select_all(X, _SAMPLERS, 82)
+    assert_same_selections(got, want)
+    assert not np.array_equal(before[4].indices, got[4].indices)  # IBOSS
+
+
+@pytest.mark.parametrize("layout", ["float32", "fortran", "new-view"])
+def test_public_calls_on_other_inputs_match_fresh_copies(layout):
+    X = shared_data()
+    if layout == "float32":
+        X = X.astype(np.float32)
+    elif layout == "fortran":
+        X = np.asfortranarray(X)
+    want = select_all(X.copy(order="K"), _SAMPLERS, 83)
+    for _ in range(2):
+        if layout == "new-view":
+            got = [select(X[:, :], m, [83, k]) for k, m in enumerate(_SAMPLERS)]
+        else:
+            got = select_all(X, _SAMPLERS, 83)
+        assert_same_selections(got, want)
+
+
+def test_kept_public_sample_is_freed_with_its_array():
+    X = shared_data()
+    blev(X, 30, np.random.default_rng(85))
+    kept = weakref.ref(samplers._prepare(X))
+    gc.collect()
+    assert kept() is not None  # kept while X lives
+    del X
+    gc.collect()
+    assert kept() is None
+
+
+def test_only_a_leverage_call_keeps_a_public_sample():
+    X, Z = shared_data(), shared_data(87)
+    blev(X, 30, np.random.default_rng(86))
+    kept = samplers._last
+    for method in ("UNIF", "IBOSS", "LOWCON"):  # none of them copies Z
+        select(Z, method, 86)
+    assert samplers._last is kept and kept[0]() is X
+    slev(Z, 30, np.random.default_rng(86))
+    assert samplers._last[0]() is Z
+
+
+def test_threads_sharing_public_samples_match_fresh_copies():
+    arrays = [shared_data(88), shared_data(89)]
+    want = [select_all(X.copy(), _SAMPLERS, 90) for X in arrays]
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(12):  # the threads alternate the two arrays
+                j = (i + k) % 2
+                assert_same_selections(select_all(arrays[j], _SAMPLERS, 90), want[j])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_lowcon_computes_no_design_metric(monkeypatch):
