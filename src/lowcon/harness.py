@@ -179,6 +179,9 @@ class ExperimentConfig:
             )
         if self.n < 2 or self.p < 1:
             raise ConfigError("need n >= 2 and p >= 1")
+        if self.mode != "realdata" and self.n * self.p * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"n={self.n} and p={self.p} ask for an n x p float64 sample "
+                              f"of {self.n * self.p * 8} bytes, past numpy's array size limit")
         if self.mode == "simulate":
             datagen._check_dim(self.misspec, self.p)
         # in realdata mode the dataset, not the config, fixes n and p:

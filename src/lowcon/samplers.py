@@ -6,10 +6,11 @@ attach reciprocal inclusion-probability weights for weighted least squares;
 the rest select rows for a plain fit.
 
 Each sampler works on a prepared sample (``_Prepared``), which keeps what the
-samplers derive from X alone. A public call on a plain matrix reuses the
-sample of the last call that computed leverages, while it passes the same
-array object with unchanged contents (``_prepare``), so calls on one X share
-that work and one leverage SVD.
+samplers derive from X alone. unif, iboss and lowcon build a new sample on
+every public call on a plain matrix (``_prepare``). blev, slev and levunw
+reuse the sample of the last leverage call while they pass the same array
+object with unchanged contents (``_leverage_sample``), so their calls on one
+X share one leverage SVD.
 """
 
 from __future__ import annotations
@@ -190,13 +191,12 @@ class _Prepared:
     bytes each: blev builds alpha 1, which levunw reuses, and slev 0.9) and
     IBOSS per r (r indices, read-only since every call returns the same
     selection). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per table, plus
-    the IBOSS picks. X is the caller's matrix until ``share`` swaps in the
-    sample's own ``_frozen`` copy."""
+    the IBOSS picks. X is the matrix the sample was built on, for its whole
+    life."""
 
-    def __init__(self, X, ref=None):
+    def __init__(self, X):
         self.X = _as_matrix(X)
         self._kept: dict = {}
-        self._ref = ref  # weak reference to the caller's array, until shared
 
     def keep(self, key, build):
         if key not in self._kept:
@@ -209,16 +209,6 @@ class _Prepared:
             raise kept.with_traceback(None)
         return kept
 
-    def share(self) -> None:
-        """Make a sample ``_prepare`` built on a caller's array the kept public
-        sample: it swaps in its own ``_frozen`` copy of X first, so nothing it
-        keeps from now on can go stale when the caller writes the array. A
-        no-op on any other sample."""
-        global _last
-        if self._ref is not None:
-            self.X = _frozen(self.X)
-            _last, self._ref = (self._ref, self), None
-
 
 def _frozen(X) -> np.ndarray:
     """A read-only, C-contiguous float64 copy of X (8np bytes), which no
@@ -228,8 +218,14 @@ def _frozen(X) -> np.ndarray:
     return A
 
 
-# (weak reference to the caller's array, the sample built from it) of the
-# last public call that shared its sample, or None
+def _prepare(X) -> _Prepared:
+    """The prepared sample a sampler works on: X itself when it is one, else
+    a new sample on X, which copies X only to convert it to float64."""
+    return X if isinstance(X, _Prepared) else _Prepared(X)
+
+
+# (weak reference to the caller's array, the sample built on a copy of it)
+# of the last leverage sampler call on a plain array, or None
 _last = None
 
 
@@ -240,19 +236,19 @@ def _forget(ref) -> None:
         _last = None
 
 
-def _prepare(X) -> _Prepared:
-    """The prepared sample a sampler works on: X itself when it is one, else
-    the kept public sample, when X is the array object it was built from and
+def _leverage_sample(X) -> _Prepared:
+    """The prepared sample blev, slev and levunw work on, so that their
+    public calls on one X pay for one leverage SVD: X itself when it is one,
+    else the kept sample, when X is the array object it was built from and
     X's contents, as float64, are byte-equal to its copy (compared as int64,
-    so -0.0 differs from 0.0); else a new sample on X. A new sample is kept
-    only once it computes leverages (``_Prepared.share``): that SVD costs far
-    more than the copy of X sharing takes, while what iboss and lowcon keep
-    costs about as much as the copy to rebuild, so unif, iboss and lowcon
-    calls never copy X. A hit costs one comparison pass over X and the copy in
-    place of the finite check. The kept sample holds its 8np-byte copy and
-    all its kept work, lowcon's included, until X is freed or another
-    array's sample is shared. Objects that take no weak reference, such as
-    lists, are never kept."""
+    so -0.0 differs from 0.0); else a new sample on its own ``_frozen`` copy
+    of X, which no later write to X can make stale, kept in place of the
+    last one. The kept sample holds its 8np-byte copy, the leverages and its
+    draw tables until X is freed or another array's sample is kept. A hit
+    costs one comparison pass over X and the copy in place of the finite
+    check. Objects that take no weak reference, such as lists, get a new
+    sample that is never kept."""
+    global _last
     if isinstance(X, _Prepared):
         return X
     last = _last
@@ -263,8 +259,10 @@ def _prepare(X) -> _Prepared:
     try:
         ref = weakref.ref(X, _forget)
     except TypeError:
-        ref = None
-    return _Prepared(X, ref)
+        return _Prepared(X)
+    sample = _Prepared(_frozen(X))
+    _last = (ref, sample)
+    return sample
 
 
 def _check_r(r, *, positive: bool = True) -> None:
@@ -544,14 +542,10 @@ def _leverage_table(X, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     ``cumsum(pi) / cumsum(pi)[-1]``, 16n bytes together. Both are built from
     the kept leverages h on first use; blev builds alpha 1, which levunw
     reuses, and slev builds 0.9."""
-    sample = _prepare(X)
-
-    def leverages():
-        sample.share()  # later calls on the same, unchanged X reuse the SVD
-        return leverage_scores(sample.X)
+    sample = _leverage_sample(X)
 
     def build():
-        h = sample.keep("leverage", leverages)
+        h = sample.keep("leverage", lambda: leverage_scores(sample.X))
         pi = alpha * h / h.sum() + (1.0 - alpha) / sample.X.shape[0]
         pi /= pi.sum()
         cdf = pi.cumsum()
@@ -583,14 +577,14 @@ def _leverage_draw(
 def blev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Basic leverage subsampling: i.i.d. draws with probability h_ii / p,
     with replacement, and 1 / (r pi) weights for weighted least squares."""
-    sample = _prepare(X)
+    sample = _leverage_sample(X)
     indices, pi = _leverage_draw(sample, r, rng, alpha=1.0)
     return _selection(sample.X, indices, weights=1.0 / (r * pi[indices]))
 
 
 def slev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Shrinkage leverage subsampling: pi = 0.9 h/p + 0.1/n."""
-    sample = _prepare(X)
+    sample = _leverage_sample(X)
     indices, pi = _leverage_draw(sample, r, rng, alpha=_SLEV_ALPHA)
     return _selection(sample.X, indices, weights=1.0 / (r * pi[indices]))
 
@@ -598,7 +592,7 @@ def slev(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
 def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     """Unweighted leverage subsampling: the same draw as blev (identical
     indices under the same rng state) but fit by plain least squares."""
-    sample = _prepare(X)
+    sample = _leverage_sample(X)
     indices, _ = _leverage_draw(sample, r, rng, alpha=1.0)
     return _selection(sample.X, indices)
 

@@ -511,6 +511,17 @@ def test_olhd_past_int64_exit_code(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("n, p", [(2**62, 3), (2**60, 10)])
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_sample_past_numpy_size_limit_exit_code(sim_config, tmp_path, capsys, command, n, p):
+    raw = json.loads(sim_config.read_text())
+    sim_config.write_text(json.dumps({**raw, "n": n, "p": p, "r_list": [4 * p]}))
+    argv = {"simulate": ["--out", str(tmp_path / "o.csv")], "diagnose": ["--alpha", "1"]}
+    assert main([command, "--config", str(sim_config)] + argv[command]) == 2
+    captured = _single_error_line(capsys, "config error:")
+    assert f"n={n} and p={p}" in captured.err and captured.out == ""
+
+
 def test_olhd_seed_past_int64_runs(capsys):
     assert main(["olhd", "--r", "9", "--p", "2", "--seed", str(BIG)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10

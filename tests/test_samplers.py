@@ -1075,7 +1075,7 @@ def test_public_calls_on_other_inputs_match_fresh_copies(layout):
 def test_kept_public_sample_is_freed_with_its_array():
     X = shared_data()
     blev(X, 30, np.random.default_rng(85))
-    kept = weakref.ref(samplers._prepare(X))
+    kept = weakref.ref(samplers._leverage_sample(X))
     gc.collect()
     assert kept() is not None  # kept while X lives
     del X
@@ -1092,6 +1092,20 @@ def test_only_a_leverage_call_keeps_a_public_sample():
     assert samplers._last is kept and kept[0]() is X
     slev(Z, 30, np.random.default_rng(86))
     assert samplers._last[0]() is Z
+
+
+def test_kept_public_sample_holds_only_leverage_work():
+    X = shared_data()
+    select_all(X, _SAMPLERS, 91)
+    assert samplers._last[0]() is X
+    assert set(samplers._last[1]._kept) == {"leverage", ("leverage", 1.0), ("leverage", 0.9)}
+
+
+def test_prepared_sample_keeps_its_matrix_through_a_leverage_call():
+    sample = samplers._prepare(shared_data())
+    X = sample.X
+    blev(sample, 30, np.random.default_rng(92))
+    assert sample.X is X
 
 
 def test_threads_sharing_public_samples_match_fresh_copies():
