@@ -10,6 +10,7 @@ drives the condition number of the design information matrix toward 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,7 +129,54 @@ def generate_lhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
     return DesignMatrix(_random_lhd_points(r, p, rng))
 
 
-def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _factor_mix() -> np.ndarray:
+    """The 13 x 7 integer matrix that turns the rank rows M of a column,
+    (1, x, x^2, x^3, x^4, v, x v) with v = C g, into the swap-score factors
+    F = _FACTOR_MIX @ M: rows 0-4 are A's columns (1, x, x^2, alpha, gamma),
+    rows 5-9 are B's rows (alpha, gamma, 6 x^2, 1, x) and rows 10-12 are R's
+    rows (x^2, -2 x, 1), while Q's columns are A's first three. With w = 2 v,
+    alpha = x^4 + x w and gamma = -4 x^3 - w, (Q R)_ab = d^2 and
+    (A B)_ab = d^4 + d (w_b - w_a) for d = x_b - x_a."""
+    one, x, x2, x3, x4, v, xv = np.eye(7)
+    alpha, gamma = x4 + 2 * xv, -4 * x3 - 2 * v
+    return np.array([one, x, x2, alpha, gamma,
+                     alpha, gamma, 6 * x2, one, x,
+                     x2, -2 * x, one])
+
+
+_FACTOR_MIX = _factor_mix()
+
+
+class _SwapScratch(NamedTuple):
+    """What ``_best_swap`` reuses over one descent: the rank rows M of the
+    column it scores, the views ``rows`` of M it fills, (x, x^2, (x, x^2),
+    (x^3, x^4), v, x v), the factors F, and per row block [a0, a1) of
+    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, Q[a0:a1],
+    R[:, a0:], A[a0:a1], B[:, a0:], D2[a0:a1, a0:], t, u)."""
+
+    M: np.ndarray
+    rows: tuple
+    F: np.ndarray
+    blocks: list
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.F[:3].T
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.F[10:]
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.F[:5].T
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.F[5:10]
+
+
+def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, _SwapScratch]:
     """D2 and the scratch of one descent for ``_best_swap``, on the integer
     design C = r L.
 
@@ -136,11 +184,10 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
     one GEMM and the squared row norms n. Each term is an integer below
     4 p r^2, far inside float64's exact range, so D2 is exact and exactly
     symmetric in any BLAS summation order, with or without FMA. The scratch
-    is contiguous vectors x and w of length r, and per row block [a0, a1) of
-    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, x_a, x_b, w_a,
-    w_b, D2[a0:a1, a0:], d, t, u). d, t and u are (a1 - a0) x (r - a0) views
-    of three flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, each starting
-    on a 64-byte boundary (``_aligned_empty``), so each block's scores are
+    holds M (7 x r, its row 0 all ones), F (13 x r), see ``_factor_mix``,
+    and per row block the (a1 - a0) x (r - a0) score views t and u of two
+    flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, each starting on a
+    64-byte boundary (``_aligned_empty``), so each block's scores are
     contiguous. D2 is only updated in place, so its views stay valid for the
     whole descent."""
     r = C.shape[0]
@@ -149,47 +196,59 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
     D2 *= -2.0
     D2 += nn[:, None]
     D2 += nn
-    x, w = np.empty(r), np.empty(r)
-    bufs = _aligned_empty((3, _SWAP_BLOCK_ROWS * r))
-    blocks = []
+    M = np.empty((7, r))
+    M[0] = 1.0
+    scratch = _SwapScratch(M, (M[1], M[2], M[1:3], M[3:5], M[5], M[6]),
+                           np.empty((13, r)), [])
+    Q, R, A, B = scratch.Q, scratch.R, scratch.A, scratch.B
+    bufs = _aligned_empty((2, _SWAP_BLOCK_ROWS * r))
     for a0 in range(0, r, _SWAP_BLOCK_ROWS):
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
         shape = (a1 - a0, r - a0)
-        d, t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        blocks.append((a0, x[a0:a1, None], x[None, a0:], w[a0:a1, None],
-                       w[None, a0:], D2[a0:a1, a0:], d, t, u))
-    return D2, (x, w, blocks)
+        t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        scratch.blocks.append((a0, Q[a0:a1], R[:, a0:], A[a0:a1], B[:, a0:],
+                               D2[a0:a1, a0:], t, u))
+    return D2, scratch
 
 
 def _best_swap(
-    C: np.ndarray, j: int, G: np.ndarray, scratch: tuple
+    C: np.ndarray, j: int, G: np.ndarray, scratch: _SwapScratch
 ) -> tuple[int, int, float]:
     """The best swap of column j of the integer design C as (a, b, delta),
     where delta is the change in the off-diagonal sum of squares of Gram row
     j when C[a, j] and C[b, j] trade places. ``G`` is C.T @ C and
     ``scratch`` is ``_swap_scratch(C)[1]``.
 
+    With x = C[:, j], g = G[j] with g[j] = 0 and v = C g, the step fills M's
+    rows x, x^2, x^3, x^4, v and x v, then the factors F = _FACTOR_MIX @ M,
+    in O(r p). A block's scores are then (Q R) * D2 - A B, that is
+    d^2 D2 - d^4 - d (w_b - w_a) with w = 2 v: two thin GEMMs, of inner
+    size 3 and 5, and two elementwise passes. Every factor entry and every
+    partial sum is an integer below 8 p r^5 (see ``_descend_correlations``),
+    so while 8 p r^5 <= 2^53 each score is exact in any BLAS summation
+    order, with or without FMA.
+
     Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
-    b >= the block's first row. delta is exactly symmetric in (a, b), so the
+    b >= the block's first row. Exact scores are symmetric in (a, b), so the
     first row-major minimum over all r^2 pairs has b >= a and lies in one of
     the blocks; keeping the first strict minimum across blocks returns that
-    pair. Where the scores are exact (see ``_descend_correlations``), ties
-    go to that first pair. The scores go into the scratch buffers, 3 *
-    _SWAP_BLOCK_ROWS * r floats (600 KiB at r = 400); a call allocates only
-    O(r)."""
-    x, w, blocks = scratch
+    pair, so ties go to it. The scores go into the scratch buffers, 2 *
+    _SWAP_BLOCK_ROWS * r floats (400 KiB at r = 400); a call allocates only
+    O(r), and column j's factors stay in ``scratch``."""
+    x, x2, x12, x34, v, xv = scratch.rows
     g = G[j].copy()
     g[j] = 0.0
-    x[:] = C[:, j]
-    np.multiply(C @ g, 2.0, out=w)
+    np.copyto(x, C[:, j])
+    np.multiply(x, x, out=x2)
+    np.multiply(x12, x2, out=x34)
+    np.dot(C, g, out=v)
+    np.multiply(x, v, out=xv)
+    np.dot(_FACTOR_MIX, scratch.M, out=scratch.F)
     best = (0, 0, np.inf)
-    for a0, xa, xb, wa, wb, D2ab, d, t, u in blocks:
-        np.subtract(xb, xa, out=d)
-        np.subtract(wb, wa, out=t)
-        np.multiply(d, t, out=u)
-        np.multiply(d, d, out=d)
-        np.subtract(D2ab, d, out=t)
-        np.multiply(d, t, out=t)
+    for a0, Qa, Rb, Aa, Bb, D2ab, t, u in scratch.blocks:
+        np.matmul(Qa, Rb, out=t)
+        np.multiply(t, D2ab, out=t)
+        np.matmul(Aa, Bb, out=u)
         np.subtract(t, u, out=u)
         k = int(u.argmin())
         da, db = divmod(k, u.shape[1])
@@ -217,19 +276,41 @@ def _descend_correlations(
 
         delta_ab = d_ab^2 (D2_ab - d_ab^2) - d_ab (w_b - w_a),
 
-    and a step accepts its best swap iff delta < 0. A no-op (a, a) has
-    d = 0 and scores exactly 0, so it is never accepted.
+    and a step accepts its best swap iff delta < 0 and a != b. A no-op
+    (a, a) has d = 0 and scores 0.
 
+    ``_best_swap`` computes delta_ab as d_ab^2 D2_ab - P_ab, where
+    P_ab = d_ab^4 + d_ab (w_b - w_a) expands to
+
+        alpha_a + alpha_b + x_a gamma_b + gamma_a x_b + 6 x_a^2 x_b^2,
+
+    with x = C[:, j], alpha = x^4 + x w and gamma = -4 x^3 - w, and d_ab^2
+    to x_a^2 + x_b^2 - 2 x_a x_b, both products of thin factor matrices.
     The scores are integers, exact while every intermediate stays below
-    2^53. Since |C| < r and each column's squares sum to r (r^2 - 1) / 3,
-    Cauchy-Schwarz gives |g_k| < r^3 / 3, so |w_a| < 2 p r^4 / 3; with
-    |d| < 2 r, |d (w_b - w_a)| < 8 p r^5 / 3, and 0 <= d^2 (D2 - d^2) <
-    16 p r^4. Every partial sum and product is bounded by these, and for
-    r >= 3 their sum stays below 8 p r^5, so the scores, and every tie, are
-    exact when 8 p r^5 <= 2^53: r <= 562 at p = 20, r <= 646 at p = 10.
-    Past that range a score may round (a random start at r = 2000, p = 20
-    reaches |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does;
-    a no-op still scores 0 and the swap cap still binds.
+    2^53. Since |x| < r and each column's squares sum to r (r^2 - 1) / 3,
+    Cauchy-Schwarz gives |g_k| < r^3 / 3, so |v| = |C g| < p r^4 / 3 and
+    |w| < 2 p r^4 / 3. Term by term:
+
+    - the rank rows: |x^k| < r^k for k <= 4, |v| < p r^4 / 3 and
+      |x v| < p r^5 / 3;
+    - the factors: alpha = x^4 + 2 x v sums two terms below r^4 and
+      2 p r^5 / 3, gamma = -4 x^3 - 2 v two below 4 r^3 and 2 p r^4 / 3,
+      and 6 x^2 < 6 r^2;
+    - the P GEMM: |alpha_a| and |alpha_b| < r^4 + 2 p r^5 / 3, the products
+      |x_a gamma_b| and |gamma_a x_b| < 4 r^4 + 2 p r^5 / 3, and
+      6 x_a^2 x_b^2 < 6 r^4, so each partial sum is below
+      16 r^4 + 8 p r^5 / 3;
+    - the d^2 GEMM: x_a^2, x_b^2 < r^2 and |2 x_a x_b| < 2 r^2, partial sums
+      below 4 r^2; with D2 < 4 p r^2, 0 <= d^2 D2 < 16 p r^4;
+    - the score: |d^2 D2| + |P| < 16 p r^4 + 16 r^4 + 8 p r^5 / 3.
+
+    For r >= 6 every one of these stays below 8 p r^5, and smaller designs
+    stay far inside 2^53, so the scores, and every tie, are exact when
+    8 p r^5 <= 2^53: r <= 562 at p = 20, r <= 646 at p = 10. Past that
+    range a score may round (a random start at r = 2000, p = 20 reaches
+    |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does, and a
+    no-op's GEMM sums need not cancel to 0, which is why a step also checks
+    a != b; the swap cap still binds.
 
     After an accepted swap, kappa comes from an eigensolve only when
     ``_kappa_bound``, a one-pass lower bound from the largest off-diagonal
@@ -243,7 +324,7 @@ def _descend_correlations(
     lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
     call in O(r^2 p); an accepted swap changes only its rows and columns a
     and b, an O(r) update. Memory is bounded by 8 r^2 bytes for D2 plus
-    3 * _SWAP_BLOCK_ROWS * r floats of scratch (600 KiB at r = 400) plus
+    2 * _SWAP_BLOCK_ROWS * r floats of scratch (400 KiB at r = 400) plus
     O(rp). A start that needs a descent raises ``InfeasibleDesign`` before
     D2 is allocated when 8 r^2 exceeds ``_MAX_D2_BYTES`` (2 GiB, i.e.
     r > 16384); a start already at the target returns first, whatever r
@@ -268,7 +349,7 @@ def _descend_correlations(
         improved = False
         for j in range(p):
             a, b, delta = _best_swap(C, j, G, scratch)
-            if delta < 0:
+            if delta < 0 and a != b:
                 x = C[:, j]
                 change = (x[b] - x) ** 2 - (x[a] - x) ** 2
                 change[[a, b]] = 0.0

@@ -159,15 +159,22 @@ def _exact_swap_rss(L, j):
     return out
 
 
-def _swap_deltas(K, j, G, D2):
-    """Every pair's swap score in int64 on the integer design K = r L (rows
-    a, columns b): the change in the off-diagonal sum of squares of Gram row
-    j, d^2 (D2 - d^2) - d (w_b - w_a) with w = 2 K g, exact by construction."""
+def _swap_terms(K, j, G):
+    """In int64 on the integer design K = r L, for every pair (rows a,
+    columns b): d = K[b, j] - K[a, j] and dw = w_b - w_a, with w = 2 K g and
+    g = G[j] with g[j] = 0."""
     g = G[j].copy()
     g[j] = 0
     w = 2 * (K @ g)
-    d = K[None, :, j] - K[:, None, j]
-    return d * d * (D2 - d * d) - d * (w[None, :] - w[:, None])
+    return K[None, :, j] - K[:, None, j], w[None, :] - w[:, None]
+
+
+def _swap_deltas(K, j, G, D2):
+    """Every pair's swap score in int64: the change in the off-diagonal sum
+    of squares of Gram row j, d^2 (D2 - d^2) - d (w_b - w_a), exact by
+    construction."""
+    d, dw = _swap_terms(K, j, G)
+    return d * d * (D2 - d * d) - d * dw
 
 
 def _full_sqdist(K):
@@ -271,6 +278,37 @@ class TestSwapDescent:
                 for M in (C, K):
                     M[a, j], M[b, j] = M[b, j], M[a, j]
         assert swaps > p
+
+    @pytest.mark.parametrize("r, p", [(70, 3), (400, 20)])
+    def test_swap_scores_factors_match_int64_oracle(self, r, p):
+        # after a step, column j's kept factors give over all r^2 pairs
+        # Q R = d^2 and A B = d^4 + d (w_b - w_a); the int64 oracle values
+        # are below 2^53, so comparing them as floats is exact
+        C = np.rint(generate_lhd(r, p, np.random.default_rng(57 + p)).points * r)
+        K = C.astype(np.int64)
+        _, scratch = _swap_scratch(C)
+        for j in range(p):
+            _best_swap(C, j, C.T @ C, scratch)
+            d, dw = _swap_terms(K, j, K.T @ K)
+            assert np.array_equal(scratch.Q @ scratch.R, d * d)
+            assert np.array_equal(scratch.A @ scratch.B, d**4 + d * dw)
+
+    def test_swap_scores_reuse_the_scratch(self):
+        # one step at the benchmark's large-budget shape allocates no score
+        # buffer (one block's is 200 KiB); numpy's ufunc iterator may take
+        # one 64 KiB buffer of its own for the strided view of D2
+        r, p = 400, 20
+        C = np.rint(generate_lhd(r, p, np.random.default_rng(58)).points * r)
+        G = C.T @ C
+        _, scratch = _swap_scratch(C)
+        _best_swap(C, 0, G, scratch)
+        tracemalloc.start()
+        try:
+            _best_swap(C, 1, G, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**10
 
     def test_tie_across_blocks_keeps_the_first_pair(self):
         # with one column every swap leaves the empty off-diagonal empty, so

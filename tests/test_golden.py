@@ -72,6 +72,10 @@ GOLDEN = {
         "e3c00ae532ebc9a494e134e8bfdfc8178f58990d0a4f55849604bc47e771be50",
     "olhd:100x10":
         "f95c7f0007fbed5529fb1c704594b8d5563d5128adf032293b3948eab0afa2fe",
+    "olhd:400x20":
+        "eb991282561ff087016c83033b1a4c7fdbf73d42aedac781f78ca074cac22aef",
+    "olhd:600x20":
+        "16c844ff80ca0c51cb72e179fbc8431c2b7722a11e32daf3aa24e1dc8d7243dc",
     "lowcon:t":
         "d1e1f43452828e5f26488a3182308b8bbf766b7bdf34fee59dd6ed94ec812a5c",
     "lowcon:ties":
