@@ -10,7 +10,6 @@ drives the condition number of the design information matrix toward 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -147,36 +146,7 @@ def _factor_mix() -> np.ndarray:
 _FACTOR_MIX = _factor_mix()
 
 
-class _SwapScratch(NamedTuple):
-    """What ``_best_swap`` reuses over one descent: the rank rows M of the
-    column it scores, the views ``rows`` of M it fills, (x, x^2, (x, x^2),
-    (x^3, x^4), v, x v), the factors F, and per row block [a0, a1) of
-    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, Q[a0:a1],
-    R[:, a0:], A[a0:a1], B[:, a0:], D2[a0:a1, a0:], t, u)."""
-
-    M: np.ndarray
-    rows: tuple
-    F: np.ndarray
-    blocks: list
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.F[:3].T
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.F[10:]
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.F[:5].T
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.F[5:10]
-
-
-def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, _SwapScratch]:
+def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
     """D2 and the scratch of one descent for ``_best_swap``, on the integer
     design C = r L.
 
@@ -184,12 +154,15 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, _SwapScratch]:
     one GEMM and the squared row norms n. Each term is an integer below
     4 p r^2, far inside float64's exact range, so D2 is exact and exactly
     symmetric in any BLAS summation order, with or without FMA. The scratch
-    holds M (7 x r, its row 0 all ones), F (13 x r), see ``_factor_mix``,
-    and per row block the (a1 - a0) x (r - a0) score views t and u of two
-    flat buffers of ``_SWAP_BLOCK_ROWS * r`` floats, each starting on a
-    64-byte boundary (``_aligned_empty``), so each block's scores are
-    contiguous. D2 is only updated in place, so its views stay valid for the
-    whole descent."""
+    is (M, rows, F, blocks): the rank rows M (7 x r, its row 0 all ones),
+    the views of M a step fills, (x, x^2, (x, x^2), (x^3, x^4), v, x v), the
+    factors F (13 x r, see ``_factor_mix``), and per row block [a0, a1) of
+    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, Q[a0:a1],
+    R[:, a0:], A[a0:a1], B[:, a0:], D2[a0:a1, a0:], t, u, u's diagonal).
+    t and u are (a1 - a0) x (r - a0) views of two flat buffers of
+    ``_SWAP_BLOCK_ROWS * r`` floats, each starting on a 64-byte boundary
+    (``_aligned_empty``), so each block's scores are contiguous. D2 is only
+    updated in place, so its views stay valid for the whole descent."""
     r = C.shape[0]
     nn = (C * C).sum(axis=1)
     D2 = C @ C.T
@@ -198,21 +171,22 @@ def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, _SwapScratch]:
     D2 += nn
     M = np.empty((7, r))
     M[0] = 1.0
-    scratch = _SwapScratch(M, (M[1], M[2], M[1:3], M[3:5], M[5], M[6]),
-                           np.empty((13, r)), [])
-    Q, R, A, B = scratch.Q, scratch.R, scratch.A, scratch.B
+    F = np.empty((13, r))
+    Q, R, A, B = F[:3].T, F[10:], F[:5].T, F[5:10]
     bufs = _aligned_empty((2, _SWAP_BLOCK_ROWS * r))
+    blocks = []
     for a0 in range(0, r, _SWAP_BLOCK_ROWS):
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
-        shape = (a1 - a0, r - a0)
-        t, u = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        scratch.blocks.append((a0, Q[a0:a1], R[:, a0:], A[a0:a1], B[:, a0:],
-                               D2[a0:a1, a0:], t, u))
-    return D2, scratch
+        h, n = a1 - a0, r - a0
+        t, u = (buf[: h * n].reshape(h, n) for buf in bufs)
+        blocks.append((a0, Q[a0:a1], R[:, a0:], A[a0:a1], B[:, a0:],
+                       D2[a0:a1, a0:], t, u, bufs[1][: h * n : n + 1]))
+    rows = (M[1], M[2], M[1:3], M[3:5], M[5], M[6])
+    return D2, (M, rows, F, blocks)
 
 
 def _best_swap(
-    C: np.ndarray, j: int, G: np.ndarray, scratch: _SwapScratch
+    C: np.ndarray, j: int, G: np.ndarray, scratch: tuple
 ) -> tuple[int, int, float]:
     """The best swap of column j of the integer design C as (a, b, delta),
     where delta is the change in the off-diagonal sum of squares of Gram row
@@ -232,10 +206,13 @@ def _best_swap(
     b >= the block's first row. Exact scores are symmetric in (a, b), so the
     first row-major minimum over all r^2 pairs has b >= a and lies in one of
     the blocks; keeping the first strict minimum across blocks returns that
-    pair, so ties go to it. The scores go into the scratch buffers, 2 *
+    pair, so ties go to it. Each block's no-ops (a, a) are set to 0 before
+    its argmin: past the exact range their GEMM sums need not cancel, and a
+    rounded negative no-op must not hide a real swap of the same block.
+    The scores go into the scratch buffers, 2 *
     _SWAP_BLOCK_ROWS * r floats (400 KiB at r = 400); a call allocates only
     O(r), and column j's factors stay in ``scratch``."""
-    x, x2, x12, x34, v, xv = scratch.rows
+    M, (x, x2, x12, x34, v, xv), F, blocks = scratch
     g = G[j].copy()
     g[j] = 0.0
     np.copyto(x, C[:, j])
@@ -243,13 +220,14 @@ def _best_swap(
     np.multiply(x12, x2, out=x34)
     np.dot(C, g, out=v)
     np.multiply(x, v, out=xv)
-    np.dot(_FACTOR_MIX, scratch.M, out=scratch.F)
+    np.dot(_FACTOR_MIX, M, out=F)
     best = (0, 0, np.inf)
-    for a0, Qa, Rb, Aa, Bb, D2ab, t, u in scratch.blocks:
+    for a0, Qa, Rb, Aa, Bb, D2ab, t, u, noops in blocks:
         np.matmul(Qa, Rb, out=t)
         np.multiply(t, D2ab, out=t)
         np.matmul(Aa, Bb, out=u)
         np.subtract(t, u, out=u)
+        noops.fill(0.0)
         k = int(u.argmin())
         da, db = divmod(k, u.shape[1])
         if u[da, db] < best[2]:
@@ -276,8 +254,8 @@ def _descend_correlations(
 
         delta_ab = d_ab^2 (D2_ab - d_ab^2) - d_ab (w_b - w_a),
 
-    and a step accepts its best swap iff delta < 0 and a != b. A no-op
-    (a, a) has d = 0 and scores 0.
+    and a step accepts its best swap iff delta < 0. A no-op (a, a) has
+    d = 0 and scores exactly 0, so it is never accepted.
 
     ``_best_swap`` computes delta_ab as d_ab^2 D2_ab - P_ab, where
     P_ab = d_ab^4 + d_ab (w_b - w_a) expands to
@@ -308,9 +286,8 @@ def _descend_correlations(
     stay far inside 2^53, so the scores, and every tie, are exact when
     8 p r^5 <= 2^53: r <= 562 at p = 20, r <= 646 at p = 10. Past that
     range a score may round (a random start at r = 2000, p = 20 reaches
-    |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does, and a
-    no-op's GEMM sums need not cancel to 0, which is why a step also checks
-    a != b; the swap cap still binds.
+    |d (w_b - w_a)| ~ 1.7e16 > 2^53) as any float expression does; a
+    no-op still scores 0 and the swap cap still binds.
 
     After an accepted swap, kappa comes from an eigensolve only when
     ``_kappa_bound``, a one-pass lower bound from the largest off-diagonal
@@ -349,7 +326,7 @@ def _descend_correlations(
         improved = False
         for j in range(p):
             a, b, delta = _best_swap(C, j, G, scratch)
-            if delta < 0 and a != b:
+            if delta < 0:
                 x = C[:, j]
                 change = (x[b] - x) ** 2 - (x[a] - x) ** 2
                 change[[a, b]] = 0.0

@@ -618,11 +618,7 @@ def iboss(X, r: int) -> SubsampleSelection:
     randomness is involved.
 
     Cost: per step one masked copy of the column, one partition, a sort of
-    the picks only, so O(np). The remainder is two such steps whatever m:
-    each side of column 0 takes its m first free rows as candidates, and the
-    sides alternate, each skipping the rows the other side took; a side
-    makes at most ceil(m / 2) picks and loses at most floor(m / 2)
-    candidates to the other, so m cover it.
+    the picks only; the remainder adds at most 2p - 1 such steps, so O(np).
     """
     _check_r(r, positive=False)  # r < 2p raises below
     sample = _prepare(X)
@@ -636,31 +632,17 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     k = r // (2 * p)
-    m = r - 2 * p * k
+    steps = [(j, sign, k) for j in range(p) for sign in (1.0, -1.0)]
+    steps += [(0, (1.0, -1.0)[i % 2], 1) for i in range(r - 2 * p * k)]
     indices = np.empty(r, dtype=np.intp)
     done = 0
-    # keys stays bound until the next step's keys exist: a helper whose
-    # keys died on return read twice as slow at 50k x 3, as the allocator
-    # handed the freed pages back and the next step faulted them in again
-    for j in range(p):
-        for sign in (1.0, -1.0):
-            keys = sign * X[:, j]
-            # X is finite and n >= r leaves k free rows, so a taken row's
-            # inf key is never among the picks
-            keys[indices[:done]] = np.inf
-            indices[done:done + k] = _lowest(keys, k)
-            done += k
-    if m:
-        sides = []
-        for sign in (1.0, -1.0):
-            keys = sign * X[:, 0]
-            keys[indices[:done]] = np.inf  # n >= r leaves m free rows
-            sides.append(iter(_lowest(keys, m).tolist()))
-        taken = set()
-        for i in range(m):
-            row = next(q for q in sides[i % 2] if q not in taken)
-            taken.add(row)
-            indices[done + i] = row
+    for j, sign, count in steps:
+        keys = sign * X[:, j]
+        # X is finite and n >= r leaves count free rows, so a taken row's
+        # inf key is never among the picks
+        keys[indices[:done]] = np.inf
+        indices[done:done + count] = _lowest(keys, count)
+        done += count
     indices.flags.writeable = False  # kept, so every call returns these
     return _selection(X, indices)
 

@@ -281,8 +281,9 @@ class TestSwapDescent:
 
     @pytest.mark.parametrize("r, p", [(70, 3), (400, 20)])
     def test_swap_scores_factors_match_int64_oracle(self, r, p):
-        # after a step, column j's kept factors give over all r^2 pairs
-        # Q R = d^2 and A B = d^4 + d (w_b - w_a); the int64 oracle values
+        # after a step, column j's kept factors F give over all r^2 pairs
+        # Q R = d^2 and A B = d^4 + d (w_b - w_a), with Q = F[:3].T,
+        # R = F[10:], A = F[:5].T and B = F[5:10]; the int64 oracle values
         # are below 2^53, so comparing them as floats is exact
         C = np.rint(generate_lhd(r, p, np.random.default_rng(57 + p)).points * r)
         K = C.astype(np.int64)
@@ -290,8 +291,9 @@ class TestSwapDescent:
         for j in range(p):
             _best_swap(C, j, C.T @ C, scratch)
             d, dw = _swap_terms(K, j, K.T @ K)
-            assert np.array_equal(scratch.Q @ scratch.R, d * d)
-            assert np.array_equal(scratch.A @ scratch.B, d**4 + d * dw)
+            F = scratch[2]
+            assert np.array_equal(F[:3].T @ F[10:], d * d)
+            assert np.array_equal(F[:5].T @ F[5:10], d**4 + d * dw)
 
     def test_swap_scores_reuse_the_scratch(self):
         # one step at the benchmark's large-budget shape allocates no score
