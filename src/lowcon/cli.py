@@ -11,10 +11,10 @@ Exit codes, each failure reported as one line on stderr:
 * 2 configuration error: ``ConfigError``, including a config file that
   cannot be read as UTF-8, or ``InfeasibleDesign`` when the requested r and
   p cannot give a nonsingular design or the OLHD descent would need more
-  than 2 GiB (8 r^2 bytes, so r > 16384), or a ``MemoryError`` when a size
-  such as n or r asks for more memory than numpy can allocate (the line
-  names the subcommand); a size past int64, in a config or an olhd flag, is
-  a ``ConfigError``
+  than 2 GiB (about 4 r^2 + 256 r bytes, so r > 23138), or a
+  ``MemoryError`` when a size such as n or r asks for more memory than numpy
+  can allocate (the line names the subcommand); a size past int64, in a
+  config or an olhd flag, is a ``ConfigError``
 * 3 data error: ``DataError``, an input or output file that cannot be
   opened (the output path is checked before the run starts), or, in
   diagnose, ``DegenerateBox`` when a predictor column leaves a zero-width

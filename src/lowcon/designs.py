@@ -20,7 +20,7 @@ DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
 _SWAPS_PER_ENTRY = 200  # the descent's swap cap is this many per entry of L
 _SWAP_BLOCK_ROWS = 64  # rows a per block of swap scores
-_MAX_D2_BYTES = 2 * 2**30  # the descent's r x r D2 may take this much: r <= 16384
+_MAX_D2_BYTES = 2 * 2**30  # the descent's D2 slabs may take this much: r <= 23138
 
 
 @dataclass(frozen=True)
@@ -146,43 +146,92 @@ def _factor_mix() -> np.ndarray:
 _FACTOR_MIX = _factor_mix()
 
 
-def _swap_scratch(C: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _slab_bytes(r: int) -> int:
+    """Bytes of the D2 slabs ``_swap_scratch`` allocates for r rows: the
+    block at row a0 holds min(64, r - a0) x (r - a0) floats, about
+    4 r^2 + 256 r bytes in all."""
+    q, h = divmod(r, _SWAP_BLOCK_ROWS)
+    full = _SWAP_BLOCK_ROWS * q * r - _SWAP_BLOCK_ROWS**2 * q * (q - 1) // 2
+    return 8 * (full + h * h)
+
+
+def _swap_scratch(C: np.ndarray) -> tuple[list, tuple]:
     """D2 and the scratch of one descent for ``_best_swap``, on the integer
     design C = r L.
 
-    D2[a, b] = ||C[b] - C[a]||^2 is built as n_a + n_b - 2 C[a].C[b] from
-    one GEMM and the squared row norms n. Each term is an integer below
-    4 p r^2, far inside float64's exact range, so D2 is exact and exactly
-    symmetric in any BLAS summation order, with or without FMA. The scratch
-    is (M, rows, F, blocks): the rank rows M (7 x r, its row 0 all ones),
-    the views of M a step fills, (x, x^2, (x, x^2), (x^3, x^4), v, x v), the
-    factors F (13 x r, see ``_factor_mix``), and per row block [a0, a1) of
-    ``_SWAP_BLOCK_ROWS`` rows the views it scores with, (a0, Q[a0:a1],
-    R[:, a0:], A[a0:a1], B[:, a0:], D2[a0:a1, a0:], t, u, u's diagonal).
-    t and u are (a1 - a0) x (r - a0) views of two flat buffers of
-    ``_SWAP_BLOCK_ROWS * r`` floats, each starting on a 64-byte boundary
-    (``_aligned_empty``), so each block's scores are contiguous. D2 is only
-    updated in place, so its views stay valid for the whole descent."""
+    D2 holds the squared row distances D2[a, b] = ||C[b] - C[a]||^2 as the
+    blocks ``_best_swap`` scores: a list of (a0, a1, slab), where per row
+    block [a0, a1) of ``_SWAP_BLOCK_ROWS`` rows the slab is D2[a0:a1, a0:],
+    one C-contiguous array, about 4 r^2 + 256 r bytes in all
+    (``_slab_bytes``); no r x r matrix is made. Each slab is
+    n_a + n_b - 2 C[a0:a1] @ C[a0:].T from one GEMM and the squared row
+    norms n. Each term is an integer below 4 p r^2, far inside float64's
+    exact range, so D2 is exact in any BLAS summation order, with or without
+    FMA, and the copies of an entry in a block's lower corner are equal. The
+    scratch is (M, rows, F, blocks): the rank rows M (7 x r, its row 0 all
+    ones), the views of M a step fills, (x, x^2, (x, x^2), (x^3, x^4), v,
+    x v), the factors F (13 x r, see ``_factor_mix``), and per row block the
+    views it scores with, (a0, Q[a0:a1], R[:, a0:], A[a0:a1], B[:, a0:], its
+    D2 slab, t, u, u's diagonal). t and u are
+    (a1 - a0) x (r - a0) views of two flat buffers of
+    ``_SWAP_BLOCK_ROWS * r`` floats, so each block's scores are contiguous.
+    The two buffers and then the slabs, in block order, share one
+    allocation on a 64-byte boundary (``_aligned_empty``); each piece but
+    the last slab is a multiple of 8 floats, so each starts on a 64-byte
+    boundary too. The slabs are only updated in place
+    (``_swap_distances``), so the views stay valid for the whole descent."""
     r = C.shape[0]
     nn = (C * C).sum(axis=1)
-    D2 = C @ C.T
-    D2 *= -2.0
-    D2 += nn[:, None]
-    D2 += nn
     M = np.empty((7, r))
     M[0] = 1.0
     F = np.empty((13, r))
     Q, R, A, B = F[:3].T, F[10:], F[:5].T, F[5:10]
-    bufs = _aligned_empty((2, _SWAP_BLOCK_ROWS * r))
-    blocks = []
+    size = _SWAP_BLOCK_ROWS * r  # of each score buffer
+    flat = _aligned_empty((2 * size + _slab_bytes(r) // 8,))
+    at = 2 * size
+    D2, blocks = [], []
     for a0 in range(0, r, _SWAP_BLOCK_ROWS):
         a1 = min(a0 + _SWAP_BLOCK_ROWS, r)
         h, n = a1 - a0, r - a0
-        t, u = (buf[: h * n].reshape(h, n) for buf in bufs)
+        t = flat[: h * n].reshape(h, n)
+        u = flat[size : size + h * n].reshape(h, n)
+        D = flat[at : at + h * n].reshape(h, n)
+        at += h * n
+        np.matmul(C[a0:a1], C[a0:].T, out=D)
+        D *= -2.0
+        D += nn[a0:a1, None]
+        D += nn[a0:]
+        D2.append((a0, a1, D))
         blocks.append((a0, Q[a0:a1], R[:, a0:], A[a0:a1], B[:, a0:],
-                       D2[a0:a1, a0:], t, u, bufs[1][: h * n : n + 1]))
+                       D, t, u, flat[size : size + h * n : n + 1]))
     rows = (M[1], M[2], M[1:3], M[3:5], M[5], M[6])
     return D2, (M, rows, F, blocks)
+
+
+def _swap_distances(D2: list, x: np.ndarray, a: int, b: int) -> None:
+    """Update the slabs D2 of ``_swap_scratch`` in place for trading x[a]
+    and x[b], where x is the design column before the trade; a > b is
+    allowed. Only D2's rows and columns a and b change: with
+    c_k = (x_b - x_k)^2 - (x_a - x_k)^2 = (x_b - x_a)(x_a + x_b - 2 x_k)
+    for k != a, b and c_a = c_b = 0, row and column a gain c and row and
+    column b lose it. Every c_k is an integer below 4 r^2, so the update is
+    exact. Column a of D2 is column a - a0 of every slab with a0 <= a; row a
+    is row a - a0 of the one slab holding it."""
+    xa, xb = float(x[a]), float(x[b])
+    change = x * -2.0
+    change += xa + xb
+    change *= xb - xa
+    change[a] = 0.0
+    change[b] = 0.0
+    for a0, a1, D in D2:
+        if a0 <= a:
+            D[:, a - a0] += change[a0:a1]
+            if a < a1:
+                D[a - a0] += change[a0:]
+        if a0 <= b:
+            D[:, b - a0] -= change[a0:a1]
+            if b < a1:
+                D[b - a0] -= change[a0:]
 
 
 def _best_swap(
@@ -197,10 +246,11 @@ def _best_swap(
     rows x, x^2, x^3, x^4, v and x v, then the factors F = _FACTOR_MIX @ M,
     in O(r p). A block's scores are then (Q R) * D2 - A B, that is
     d^2 D2 - d^4 - d (w_b - w_a) with w = 2 v: two thin GEMMs, of inner
-    size 3 and 5, and two elementwise passes. Every factor entry and every
-    partial sum is an integer below 8 p r^5 (see ``_descend_correlations``),
-    so while 8 p r^5 <= 2^53 each score is exact in any BLAS summation
-    order, with or without FMA.
+    size 3 and 5, and two elementwise passes, the first over the block's
+    own contiguous D2 slab. Every factor entry and every partial sum is an
+    integer below 8 p r^5 (see ``_descend_correlations``), so while
+    8 p r^5 <= 2^53 each score is exact in any BLAS summation order, with or
+    without FMA.
 
     Rows a are scored in blocks of ``_SWAP_BLOCK_ROWS`` against columns
     b >= the block's first row. Exact scores are symmetric in (a, b), so the
@@ -210,8 +260,9 @@ def _best_swap(
     its argmin: past the exact range their GEMM sums need not cancel, and a
     rounded negative no-op must not hide a real swap of the same block.
     The scores go into the scratch buffers, 2 *
-    _SWAP_BLOCK_ROWS * r floats (400 KiB at r = 400); a call allocates only
-    O(r), and column j's factors stay in ``scratch``."""
+    _SWAP_BLOCK_ROWS * r floats (400 KiB at r = 400), beside the D2 slabs
+    (722 KiB at r = 400); a call allocates only O(r), and column j's
+    factors stay in ``scratch``."""
     M, (x, x2, x12, x34, v, xv), F, blocks = scratch
     g = G[j].copy()
     g[j] = 0.0
@@ -299,13 +350,15 @@ def _descend_correlations(
 
     ``_best_swap`` scores only the pairs b >= a, plus each row block's small
     lower corner, so a step costs O(rp + r^2 / 2) time. D2 is built once per
-    call in O(r^2 p); an accepted swap changes only its rows and columns a
-    and b, an O(r) update. Memory is bounded by 8 r^2 bytes for D2 plus
+    call in O(r^2 p), as the row blocks' slabs only (``_swap_scratch``); an
+    accepted swap changes only its rows and columns a and b, an O(r) update
+    (``_swap_distances``). Memory is bounded by the slabs'
+    ``_slab_bytes(r)``, about 4 r^2 + 256 r bytes (722 KiB at r = 400), plus
     2 * _SWAP_BLOCK_ROWS * r floats of scratch (400 KiB at r = 400) plus
     O(rp). A start that needs a descent raises ``InfeasibleDesign`` before
-    D2 is allocated when 8 r^2 exceeds ``_MAX_D2_BYTES`` (2 GiB, i.e.
-    r > 16384); a start already at the target returns first, whatever r
-    is."""
+    the slabs are allocated when ``_slab_bytes(r)`` exceeds
+    ``_MAX_D2_BYTES`` (2 GiB, i.e. r > 23138); a start already at the
+    target returns first, whatever r is."""
     r, p = L.shape
     C = np.rint(L * r)
     G = C.T @ C
@@ -314,10 +367,10 @@ def _descend_correlations(
     kap = _gram_kappa(G)
     if kap <= kappa_target or max_swaps <= 0:
         return L, kap, 0
-    if 8 * r * r > _MAX_D2_BYTES:
+    if _slab_bytes(r) > _MAX_D2_BYTES:
         raise InfeasibleDesign(
-            f"r={r}, p={p}: the OLHD descent needs {8 * r * r} bytes for its "
-            f"{r}x{r} distance matrix, past the bound of {_MAX_D2_BYTES} bytes"
+            f"r={r}, p={p}: the OLHD descent needs {_slab_bytes(r)} bytes for "
+            f"its squared row distances, past the bound of {_MAX_D2_BYTES} bytes"
         )
     D2, scratch = _swap_scratch(C)
     swaps = 0
@@ -327,13 +380,7 @@ def _descend_correlations(
         for j in range(p):
             a, b, delta = _best_swap(C, j, G, scratch)
             if delta < 0:
-                x = C[:, j]
-                change = (x[b] - x) ** 2 - (x[a] - x) ** 2
-                change[[a, b]] = 0.0
-                D2[a] += change
-                D2[b] -= change
-                D2[:, a] = D2[a]
-                D2[:, b] = D2[b]
+                _swap_distances(D2, C[:, j], a, b)
                 C[a, j], C[b, j] = C[b, j], C[a, j]
                 G[j, :] = G[:, j] = C.T @ C[:, j]
                 improved = True
@@ -366,7 +413,8 @@ def generate_olhd(r: int, p: int, rng: np.random.Generator) -> DesignMatrix:
         When r <= p: the level set sums to zero, so the columns plus the
         all-ones vector are linearly dependent and L.T @ L is singular for
         every permutation. Also when a start misses the target and its
-        descent would need an r x r distance matrix past 2 GiB (r > 16384).
+        descent's squared row distances would take more than 2 GiB
+        (r > 23138).
     """
     _require_int(r, "r")
     _require_int(p, "p")

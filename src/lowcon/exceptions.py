@@ -11,7 +11,8 @@ class RankDeficient(LowconError):
 
 class InfeasibleDesign(LowconError):
     """Requested design cannot have a nonsingular information matrix, or its
-    OLHD descent would need an r x r distance matrix past 2 GiB (r > 16384)."""
+    OLHD descent's squared row distances would take more than 2 GiB
+    (r > 23138)."""
 
 
 class ConstantColumn(LowconError):

@@ -597,13 +597,15 @@ def levunw(X, r: int, rng: np.random.Generator) -> SubsampleSelection:
     return _selection(sample.X, indices)
 
 
-def _lowest(keys: np.ndarray, k: int) -> np.ndarray:
+def _lowest(keys: np.ndarray, k: int, pick: np.ndarray, tie: np.ndarray) -> np.ndarray:
     """The positions of the k smallest ``keys``, ordered by (key, position),
     so at the k-th key value the lowest positions win. One partition finds
-    that value; only the k picks are sorted."""
+    that value; only the k picks are sorted. ``pick`` and ``tie`` are bool
+    buffers the size of ``keys``, overwritten."""
     v = np.partition(keys, k - 1)[k - 1]
-    pick = keys < v
-    pick[np.flatnonzero(keys == v)[: k - np.count_nonzero(pick)]] = True
+    np.less(keys, v, out=pick)
+    np.equal(keys, v, out=tie)
+    pick[np.flatnonzero(tie)[: k - np.count_nonzero(pick)]] = True
     pos = np.flatnonzero(pick)
     return pos[np.argsort(keys[pos], kind="stable")]
 
@@ -619,6 +621,8 @@ def iboss(X, r: int) -> SubsampleSelection:
 
     Cost: per step one masked copy of the column, one partition, a sort of
     the picks only; the remainder adds at most 2p - 1 such steps, so O(np).
+    The keys and the two bool masks are n-sized buffers allocated once per
+    call.
     """
     _check_r(r, positive=False)  # r < 2p raises below
     sample = _prepare(X)
@@ -635,13 +639,15 @@ def _iboss(X: np.ndarray, r: int) -> SubsampleSelection:
     steps = [(j, sign, k) for j in range(p) for sign in (1.0, -1.0)]
     steps += [(0, (1.0, -1.0)[i % 2], 1) for i in range(r - 2 * p * k)]
     indices = np.empty(r, dtype=np.intp)
+    keys = np.empty(n)
+    pick, tie = np.empty((2, n), dtype=bool)
     done = 0
     for j, sign, count in steps:
-        keys = sign * X[:, j]
+        np.multiply(X[:, j], sign, out=keys)
         # X is finite and n >= r leaves count free rows, so a taken row's
         # inf key is never among the picks
         keys[indices[:done]] = np.inf
-        indices[done:done + count] = _lowest(keys, count)
+        indices[done:done + count] = _lowest(keys, count, pick, tie)
         done += count
     indices.flags.writeable = False  # kept, so every call returns these
     return _selection(X, indices)

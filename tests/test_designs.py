@@ -19,6 +19,8 @@ from lowcon.designs import (
     _descend_correlations,
     _gram_kappa,
     _kappa_bound,
+    _slab_bytes,
+    _swap_distances,
     _swap_scratch,
 )
 
@@ -297,8 +299,7 @@ class TestSwapDescent:
 
     def test_swap_scores_reuse_the_scratch(self):
         # one step at the benchmark's large-budget shape allocates no score
-        # buffer (one block's is 200 KiB); numpy's ufunc iterator may take
-        # one 64 KiB buffer of its own for the strided view of D2
+        # buffer (one block's is 200 KiB)
         r, p = 400, 20
         C = np.rint(generate_lhd(r, p, np.random.default_rng(58)).points * r)
         G = C.T @ C
@@ -310,7 +311,7 @@ class TestSwapDescent:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**10
+        assert peak < 16 * 2**10
 
     def test_tie_across_blocks_keeps_the_first_pair(self):
         # with one column every swap leaves the empty off-diagonal empty, so
@@ -332,9 +333,47 @@ class TestSwapDescent:
 
     @pytest.mark.parametrize("r, p", [(130, 7), (400, 20)])
     def test_swap_scratch_d2_matches_whole_matrix(self, r, p):
+        # one C-contiguous, 64-byte-aligned slab D2[a0:a1, a0:] per row block
         C = np.rint(generate_lhd(r, p, np.random.default_rng(r + p)).points * r)
         D2, _ = _swap_scratch(C)
-        assert np.array_equal(D2, _full_sqdist(C))
+        full = _full_sqdist(C)
+        assert [a0 for a0, _, _ in D2] == list(range(0, r, 64))
+        for a0, a1, D in D2:
+            assert D.flags.c_contiguous and D.ctypes.data % 64 == 0
+            assert np.array_equal(D, full[a0:a1, a0:])
+        assert sum(D.nbytes for _, _, D in D2) == _slab_bytes(r)
+
+    @staticmethod
+    def _assert_slabs_equal_whole_matrix(D2, C):
+        full = _full_sqdist(C)
+        for a0, a1, D in D2:
+            assert np.array_equal(D, full[a0:a1, a0:]), a0
+
+    @pytest.mark.parametrize("r, p", [(130, 7), (400, 20)])
+    def test_slab_updates_match_whole_matrix(self, r, p):
+        # 2p descent steps, each accepted swap followed by a check of every
+        # slab against the distances of the current design; then forced
+        # swaps with a > b across blocks, both rows in one block, and a > b
+        # in one block
+        C = np.rint(generate_lhd(r, p, np.random.default_rng(60 + r)).points * r)
+        G = C.T @ C
+        D2, scratch = _swap_scratch(C)
+        swaps = 0
+        for step in range(2 * p):
+            j = step % p
+            a, b, delta = _best_swap(C, j, G, scratch)
+            if delta < 0:
+                _swap_distances(D2, C[:, j], a, b)
+                C[a, j], C[b, j] = C[b, j], C[a, j]
+                G[j, :] = G[:, j] = C.T @ C[:, j]
+                self._assert_slabs_equal_whole_matrix(D2, C)
+                swaps += 1
+        assert swaps > p
+        for a, b in ((r - 1, 3), (70, 90), (127, 64)):
+            j = (a + b) % p
+            _swap_distances(D2, C[:, j], a, b)
+            C[a, j], C[b, j] = C[b, j], C[a, j]
+            self._assert_slabs_equal_whole_matrix(D2, C)
 
     @pytest.mark.parametrize("r, p", [(12, 2), (15, 3), (20, 5)])
     def test_descent_ends_at_local_optimum(self, r, p):
@@ -410,8 +449,10 @@ class TestSwapDescent:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
-    def test_memory_is_one_r_by_r_matrix(self):
-        # D2 is 8 r^2 bytes (30.5 MiB here); the scores add O(64 r)
+    def test_memory_is_half_an_r_by_r_matrix(self):
+        # the D2 slabs hold half an r x r matrix, 4 r^2 + 256 r bytes
+        # (15.7 MiB here, against 30.5 MiB for all of it); the scores add
+        # O(64 r)
         L = generate_lhd(2000, 10, np.random.default_rng(52)).points
         tracemalloc.start()
         try:
@@ -419,7 +460,7 @@ class TestSwapDescent:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 24 * 2**20
 
     def test_distance_matrix_past_the_bound_raises(self, monkeypatch):
         # 8 * 40^2 = 12800 bytes; the real bound is never allocated here
