@@ -92,16 +92,15 @@ _BOUND_MARGIN = 1e-6
 
 
 def _kappa_bound(G: np.ndarray, diag: float) -> float:
-    """A lower bound on the condition number of the integer Gram matrix G
-    of an LHD in integer units, whose diagonal is the constant
-    ``diag`` = r (r^2 - 1) / 3. With m the largest |off-diagonal entry|,
-    the 2 x 2 principal submatrix holding it has eigenvalues diag +- m, and
-    Cauchy interlacing puts G's extreme eigenvalues outside them, so
-    kappa(G) >= (diag + m) / (diag - m); inf when m >= diag. Costs one pass
+    """A lower bound on the condition number of G + diag I, the integer Gram
+    matrix of an LHD in integer units, whose diagonal is the constant
+    ``diag`` = r (r^2 - 1) / 3; G is its off-diagonal part, with a zero
+    diagonal. With m = max |G|, the largest |off-diagonal entry|, the 2 x 2
+    principal submatrix holding it has eigenvalues diag +- m, and Cauchy
+    interlacing puts the Gram matrix's extreme eigenvalues outside them, so
+    kappa >= (diag + m) / (diag - m); inf when m >= diag. Costs one pass
     over G, against an eigensolve."""
-    A = np.abs(G)
-    np.fill_diagonal(A, 0.0)
-    m = float(A.max())
+    m = float(np.abs(G).max())
     return (diag + m) / (diag - m) if m < diag else np.inf
 
 
@@ -239,10 +238,11 @@ def _best_swap(
 ) -> tuple[int, int, float]:
     """The best swap of column j of the integer design C as (a, b, delta),
     where delta is the change in the off-diagonal sum of squares of Gram row
-    j when C[a, j] and C[b, j] trade places. ``G`` is C.T @ C and
-    ``scratch`` is ``_swap_scratch(C)[1]``.
+    j when C[a, j] and C[b, j] trade places. ``G`` is the off-diagonal Gram
+    matrix, C.T @ C with its diagonal zeroed, and ``scratch`` is
+    ``_swap_scratch(C)[1]``.
 
-    With x = C[:, j], g = G[j] with g[j] = 0 and v = C g, the step fills M's
+    With x = C[:, j], g = G[j] (so g[j] = 0) and v = C g, the step fills M's
     rows x, x^2, x^3, x^4, v and x v, then the factors F = _FACTOR_MIX @ M,
     in O(r p). A block's scores are then (Q R) * D2 - A B, that is
     d^2 D2 - d^4 - d (w_b - w_a) with w = 2 v: two thin GEMMs, of inner
@@ -264,12 +264,10 @@ def _best_swap(
     (722 KiB at r = 400); a call allocates only O(r), and column j's
     factors stay in ``scratch``."""
     M, (x, x2, x12, x34, v, xv), F, blocks = scratch
-    g = G[j].copy()
-    g[j] = 0.0
     np.copyto(x, C[:, j])
     np.multiply(x, x, out=x2)
     np.multiply(x12, x2, out=x34)
-    np.dot(C, g, out=v)
+    np.dot(C, G[j], out=v)
     np.multiply(x, v, out=xv)
     np.dot(_FACTOR_MIX, M, out=F)
     best = (0, 0, np.inf)
@@ -298,7 +296,13 @@ def _descend_correlations(
 
     The descent runs on C = r L, whose entries are the odd integers
     2k - 1 - r, held exactly in float64; the returned L is C / r, bit-equal
-    to ``lhd_levels(r)``. With G = C.T C, g = G[j], g[j] = 0, w = 2 C g,
+    to ``lhd_levels(r)``. Every column's squares sum to
+    c = r (r^2 - 1) / 3, so the Gram matrix C.T C is G + c I, and the
+    descent keeps only G, its off-diagonal part, with a zero diagonal: the
+    swap scores and ``_kappa_bound`` read G, an accepted swap of column j
+    recomputes G's row and column j and zeroes G[j, j] again, and every
+    eigensolve reads G + c I. All entries are integers far below 2^53, so
+    G + c I is C.T C bit for bit. With g = G[j], w = 2 C g,
     d_ab = C[b, j] - C[a, j] and D2_ab = ||C_b - C_a||^2, swapping rows a
     and b of column j turns G[j, k] into g_k - d_ab (C[b, k] - C[a, k]) for
     k != j, so the off-diagonal sum of squares of row j changes by
@@ -341,8 +345,9 @@ def _descend_correlations(
     no-op still scores 0 and the swap cap still binds.
 
     After an accepted swap, kappa comes from an eigensolve only when
-    ``_kappa_bound``, a one-pass lower bound from the largest off-diagonal
-    Gram entry, does not already pass the target by a relative 1e-6. The
+    ``_kappa_bound``, a one-pass lower bound from max |G|, the largest
+    off-diagonal Gram entry, does not already pass the target by a
+    relative 1e-6. The
     bound is exact up to three roundings of (diag + m) / (diag - m), and
     ``eigvalsh`` errs at these sizes by about p eps kappa relative, far
     below 1e-6, so each decision is the eigensolve's, and so is every
@@ -372,6 +377,9 @@ def _descend_correlations(
             f"r={r}, p={p}: the OLHD descent needs {_slab_bytes(r)} bytes for "
             f"its squared row distances, past the bound of {_MAX_D2_BYTES} bytes"
         )
+    cI = np.zeros((p, p))
+    cI.flat[:: p + 1] = diag
+    G -= cI  # from here G is off-diagonal, with a zero diagonal, and C.T C is G + cI
     D2, scratch = _swap_scratch(C)
     swaps = 0
     improved = exact = True
@@ -383,16 +391,17 @@ def _descend_correlations(
                 _swap_distances(D2, C[:, j], a, b)
                 C[a, j], C[b, j] = C[b, j], C[a, j]
                 G[j, :] = G[:, j] = C.T @ C[:, j]
+                G[j, j] = 0.0
                 improved = True
                 swaps += 1
                 if swaps < max_swaps and _kappa_bound(G, diag) > skip_above:
                     exact = False  # kap stays a value above the target
                     continue
-                kap, exact = _gram_kappa(G), True
+                kap, exact = _gram_kappa(G + cI), True
                 if kap <= kappa_target or swaps == max_swaps:
                     break
     if not exact:
-        kap = _gram_kappa(G)
+        kap = _gram_kappa(G + cI)
     return C / r, kap, swaps
 
 

@@ -322,17 +322,21 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
     ``s = N - 2 (x - c).(q - c)``, with x - c and N the centred row and its
     norm as the screen stores them. The score is |x - q|^2 - |q - c|^2 up
     to rounding; the per-point constant changes its rounding but not the
-    order of the rows. Claimed rows score inf.
+    order of the rows. Rows claimed in earlier blocks score inf.
 
     Per point the step takes j, the first ``argmin`` of s, and the
     runner-up m2 = min of s over the other rows. The block gets both in
     three passes (``argmin`` per point, j's scores set to inf, ``min`` per
-    point), before any of its points claims a row; an earlier claim in the
-    block can only raise a later point's scores to inf, so j stays its
-    first ``argmin`` unless j itself was claimed (then j and m2 are taken
-    again from the point's current scores), and the block's m2 is a lower
-    bound of the current runner-up. The point takes j when
-    ``m2 > s_j + tol``, else when ``m2 > s_j + tol_i``, with
+    point), before any of its points claims a row, and keeps the rows its
+    points claim in one set. A claim in the block only raises a later
+    point's current scores to inf, so j stays its first ``argmin`` unless
+    j itself was claimed, and the block's m2 is a lower bound of the
+    current runner-up. So a point whose j is not in the set and passes
+    ``m2 > s_j + tol`` takes j without touching its scores. Any other point
+    first sets the block's claimed rows to inf in its own score row, which
+    then holds its current scores; if j was claimed, j and m2 are taken
+    again from that row. The point takes j when ``m2 > s_j + tol``, else
+    when ``m2 > s_j + tol_i``, with
 
         tol   = 4 (p+3) eps (max_x |x - c| + max_q |q - c|)^2 + 2^-100,
         tol_i = 4 (p+3) eps ((|x_j - c| + |q - c|)^2
@@ -426,28 +430,31 @@ def _claim_nearest(sample: tuple[np.ndarray, np.ndarray, np.ndarray],
         s[at, best] = np.inf
         runner_up = s.min(axis=1)
         s[at, best] = s_best
+        claimed = set()  # the rows this block's points have taken
         for i in range(start, stop):
-            row = s[i - start]
             j, sj, m2 = int(best[i - start]), s_best[i - start], runner_up[i - start]
-            if row[j] != sj:  # claimed by an earlier point of this block
-                j = int(row.argmin())
-                sj = row[j]
-                row[j] = np.inf
-                m2 = row.min()
-                row[j] = sj
-            if not m2 > sj + tol:
-                ti = float(tq[i])
-                d = float(((S[:, j] - points[i]) ** 2).sum())
-                tol_i = np.float32(K * ((math.sqrt(norms[j]) + ti) ** 2
-                                        + (2.0 * ti + math.sqrt(d)) ** 2)
-                                   + _UNDERFLOW_SLACK)
-                if not m2 > sj + tol_i:
-                    cand = np.flatnonzero(row <= sj + tol_i)
-                    d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
-                    j = int(cand[np.argmin(d2)])  # first minimum: ties go to the lowest row
-                    reranked += 1
+            if j in claimed or not m2 > sj + tol:
+                row = s[i - start]
+                row[indices[start:i]] = np.inf
+                if j in claimed:
+                    j = int(row.argmin())
+                    sj = row[j]
+                    row[j] = np.inf
+                    m2 = row.min()
+                    row[j] = sj
+                if not m2 > sj + tol:
+                    ti = float(tq[i])
+                    d = float(((S[:, j] - points[i]) ** 2).sum())
+                    tol_i = np.float32(K * ((math.sqrt(norms[j]) + ti) ** 2
+                                            + (2.0 * ti + math.sqrt(d)) ** 2)
+                                       + _UNDERFLOW_SLACK)
+                    if not m2 > sj + tol_i:
+                        cand = np.flatnonzero(row <= sj + tol_i)
+                        d2 = ((np.ascontiguousarray(S[:, cand].T) - points[i]) ** 2).sum(axis=1)
+                        j = int(cand[np.argmin(d2)])  # first minimum: ties go to the lowest row
+                        reranked += 1
             indices[i] = j
-            s[i - start + 1:, j] = np.inf
+            claimed.add(j)
     return indices, np.ascontiguousarray(S[:, indices].T) - points, reranked
 
 

@@ -188,6 +188,14 @@ def _full_sqdist(K):
     return D2
 
 
+def _offdiag_gram(C):
+    """C.T @ C with its diagonal zeroed: the Gram matrix as the descent keeps
+    it for ``_best_swap`` and ``_kappa_bound``."""
+    G = C.T @ C
+    np.fill_diagonal(G, 0.0)
+    return G
+
+
 def _int_kappa(G):
     ev = np.linalg.eigvalsh(G.astype(np.float64))
     return ev[-1] / ev[0] if ev[0] > 0 else np.inf
@@ -251,7 +259,7 @@ class TestSwapDescent:
             _, scratch = _swap_scratch(C)
             for j in range(p):
                 exact = _exact_swap_rss(L, j)
-                a, b, delta = _best_swap(C, j, C.T @ C, scratch)
+                a, b, delta = _best_swap(C, j, _offdiag_gram(C), scratch)
                 assert (a, b) == np.unravel_index(np.argmin(exact), exact.shape)
                 assert delta == exact[a, b] - exact[a, a]
                 minimizers = np.argwhere(exact == exact.min())
@@ -271,7 +279,7 @@ class TestSwapDescent:
         for step in range(2 * p):
             j = step % p
             _, scratch = _swap_scratch(C)
-            a, b, delta = _best_swap(C, j, C.T @ C, scratch)
+            a, b, delta = _best_swap(C, j, _offdiag_gram(C), scratch)
             want = _swap_deltas(K, j, K.T @ K, _full_sqdist(K))
             assert (a, b) == np.unravel_index(np.argmin(want), want.shape)
             assert delta == want[a, b]
@@ -291,7 +299,7 @@ class TestSwapDescent:
         K = C.astype(np.int64)
         _, scratch = _swap_scratch(C)
         for j in range(p):
-            _best_swap(C, j, C.T @ C, scratch)
+            _best_swap(C, j, _offdiag_gram(C), scratch)
             d, dw = _swap_terms(K, j, K.T @ K)
             F = scratch[2]
             assert np.array_equal(F[:3].T @ F[10:], d * d)
@@ -302,7 +310,7 @@ class TestSwapDescent:
         # buffer (one block's is 200 KiB)
         r, p = 400, 20
         C = np.rint(generate_lhd(r, p, np.random.default_rng(58)).points * r)
-        G = C.T @ C
+        G = _offdiag_gram(C)
         _, scratch = _swap_scratch(C)
         _best_swap(C, 0, G, scratch)
         tracemalloc.start()
@@ -318,7 +326,7 @@ class TestSwapDescent:
         # all r^2 scores are exactly 0 and the first row-major pair wins
         C = np.rint(generate_lhd(130, 1, np.random.default_rng(34)).points * 130)
         _, scratch = _swap_scratch(C)
-        assert _best_swap(C, 0, C.T @ C, scratch) == (0, 0, 0.0)
+        assert _best_swap(C, 0, _offdiag_gram(C), scratch) == (0, 0, 0.0)
 
     @pytest.mark.parametrize("r, p, seeds", [(20, 3, 100), (30, 2, 100),
                                              (130, 2, 10), (100, 5, 10),
@@ -356,7 +364,7 @@ class TestSwapDescent:
         # swaps with a > b across blocks, both rows in one block, and a > b
         # in one block
         C = np.rint(generate_lhd(r, p, np.random.default_rng(60 + r)).points * r)
-        G = C.T @ C
+        G = _offdiag_gram(C)
         D2, scratch = _swap_scratch(C)
         swaps = 0
         for step in range(2 * p):
@@ -366,6 +374,7 @@ class TestSwapDescent:
                 _swap_distances(D2, C[:, j], a, b)
                 C[a, j], C[b, j] = C[b, j], C[a, j]
                 G[j, :] = G[:, j] = C.T @ C[:, j]
+                G[j, j] = 0.0
                 self._assert_slabs_equal_whole_matrix(D2, C)
                 swaps += 1
         assert swaps > p
@@ -392,9 +401,11 @@ class TestSwapDescent:
     @pytest.mark.parametrize("r, p, seeds", [(9, 2, 40), (20, 3, 40), (20, 10, 20),
                                              (60, 10, 10), (100, 10, 5), (400, 20, 1)])
     def test_kappa_bound_never_passes_a_gram_at_target(self, monkeypatch, r, p, seeds):
-        # every Gram matrix the descents check after a swap: the bound is a
-        # lower bound of the eigensolve's kappa, and where it passes the target
-        # by the margin the eigensolve's kappa is above the target too
+        # every Gram matrix the descents check after a swap, which the bound
+        # reads as its off-diagonal part G and the constant diagonal: the bound
+        # is a lower bound of the eigensolve's kappa of G + diag I, and where
+        # it passes the target by the margin that kappa is above the target too
+        levels = np.rint(lhd_levels(r) * r)
         seen = []
 
         def recording_bound(G, diag):
@@ -408,14 +419,49 @@ class TestSwapDescent:
         assert seen
         decided = 0
         for G, diag, bound in seen:
-            assert diag == G[0, 0] and np.all(np.diag(G) == diag)
-            kappa = _gram_kappa(G)
+            assert diag == levels @ levels and np.all(np.diag(G) == 0.0)
+            kappa = _gram_kappa(G + diag * np.eye(p))
             assert bound <= kappa * (1.0 + 1e-12)
             if bound > DEFAULT_KAPPA_TARGET * (1.0 + _BOUND_MARGIN):
                 assert kappa > DEFAULT_KAPPA_TARGET
                 decided += 1
         if p == 10:
             assert decided >= len(seen) // 2
+
+    @pytest.mark.parametrize("r, p, seeds", [(100, 10, 3), (400, 20, 1)])
+    def test_kappa_bound_reads_the_kept_off_diagonal_gram(self, monkeypatch, r, p, seeds):
+        # after every accepted swap of real descents the kept G plus c I is
+        # the design's Gram matrix C.T @ C exactly, and the bound is
+        # (c + m) / (c - m) with m the largest |off-diagonal entry| of the
+        # int64 Gram matrix
+        c = r * (r * r - 1) / 3
+        live, swaps, bounds = {}, [], []
+
+        def recording_best_swap(C, j, G, scratch):
+            live["C"], live["G"] = C, G
+            return _best_swap(C, j, G, scratch)
+
+        def recording_swap_distances(D2, x, a, b):
+            swaps.append((a, b))
+            _swap_distances(D2, x, a, b)
+
+        def checking_bound(G, diag):
+            assert G is live["G"] and diag == c
+            K = live["C"].astype(np.int64)
+            gram = K.T @ K
+            assert np.array_equal(G + c * np.eye(p), gram)
+            m = float(np.abs(gram[~np.eye(p, dtype=bool)]).max())
+            bound = _kappa_bound(G, diag)
+            assert m < c and bound == (c + m) / (c - m)
+            bounds.append(bound)
+            return bound
+
+        monkeypatch.setattr(designs, "_best_swap", recording_best_swap)
+        monkeypatch.setattr(designs, "_swap_distances", recording_swap_distances)
+        monkeypatch.setattr(designs, "_kappa_bound", checking_bound)
+        for seed in range(seeds):
+            generate_olhd(r, p, np.random.default_rng(seed))
+        assert len(bounds) == len(swaps) > 20
 
     @pytest.mark.parametrize("r, p, target", [(20, 10, DEFAULT_KAPPA_TARGET),
                                               (40, 5, 1.01), (15, 3, 0.0),

@@ -20,8 +20,10 @@ OLHD_SEEDS = range(4)
 
 def inputs(name):
     """Seeded predictor matrices whose picks need no BLAS rounding to match:
-    heavy tails, many ties, one far outlier, one predictor."""
-    rng = np.random.default_rng(["t", "ties", "outlier", "p1"].index(name) + 80)
+    heavy tails, many ties, one far outlier, one predictor, and tight
+    clusters in which most design points find their nearest row claimed."""
+    names = ["t", "ties", "outlier", "p1", "conflicts"]
+    rng = np.random.default_rng(names.index(name) + 80)
     if name == "t":
         return rng.standard_t(3, (400, 3)) * [1.0, 20.0, 0.05]
     if name == "ties":
@@ -30,6 +32,10 @@ def inputs(name):
         X = rng.standard_normal((300, 3))
         X[17] = 100.0
         return X
+    if name == "conflicts":
+        centres = rng.uniform(-1.0, 1.0, (4, 8))
+        noise = 0.02 * rng.standard_normal((250, 8))
+        return np.repeat(centres, [70, 60, 60, 60], axis=0) + noise
     return rng.standard_t(2, (200, 1))
 
 
@@ -48,7 +54,8 @@ def olhd_digest(shape):
 
 def lowcon_digest(name):
     X, out = inputs(name), []
-    for r, theta in ((12, 1.0), (40, 10.0)):
+    runs = ((200, 1.0), (120, 10.0)) if name == "conflicts" else ((12, 1.0), (40, 10.0))
+    for r, theta in runs:
         sel = lowcon(X, r, theta, rng=np.random.default_rng([r, 90]))
         out += [sel.indices, sel.perturbation, np.float64(sel.diagnostics.mean_nn_distance)]
     return digest(*out)
@@ -80,6 +87,8 @@ GOLDEN = {
         "d1e1f43452828e5f26488a3182308b8bbf766b7bdf34fee59dd6ed94ec812a5c",
     "lowcon:ties":
         "b0f3c0ebfc0d3e0567fb37c8f79cf7abeef7846b5d36bf506e4114feaf2649e1",
+    "lowcon:conflicts":
+        "84e212ae09dc2acfc8994ee884f0b0e6549b342bde1238144f3cfac54c2d0667",
     "lowcon:outlier":
         "4ab990c977774f2994241dfdc269e56f1fc4a896206c08b41fdc9709ddbdfcd0",
     "lowcon:p1":

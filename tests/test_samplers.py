@@ -951,6 +951,37 @@ def test_claim_repeats_on_single_candidate_path_match_greedy_oracle(n):
     assert dists.mean() == mean_dist
 
 
+def _clustered_rows(seed):
+    """250 x 8 rows in four tight clusters (sd 0.02 around uniform centres):
+    with r = 200 most design points find their nearest row taken."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1.0, 1.0, (4, 8))
+    noise = 0.02 * rng.standard_normal((250, 8))
+    return np.repeat(centres, [70, 60, 60, 60], axis=0) + noise
+
+
+def test_claim_conflict_chains_in_one_block_match_greedy_oracle():
+    # n = 250 gives 2^18 // 250 points per block, so all 200 points share one
+    # block and every conflict is with an earlier point of the same block:
+    # the claim must learn of each such claim from the block's claimed rows
+    X = _clustered_rows(70)
+    r = 200
+    assert _CLAIM_BLOCK_BYTES // (4 * len(X)) >= r
+    sel = lowcon(X, r, rng=np.random.default_rng(71))
+    points = sel.design.points
+    rows, mean_dist, _ = greedy_claim_oracle(X, points)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    scaled = 2.0 * (X - lo) / (hi - lo) - 1.0
+    taken = 0  # points whose nearest row, in the oracle's order, is claimed
+    for i, q in enumerate(points):
+        d2 = ((scaled - q) ** 2).sum(axis=1)
+        taken += np.lexsort((np.arange(len(X)), d2))[0] in rows[:i]
+    assert taken >= 30
+    assert np.array_equal(sel.indices, rows)
+    assert same_bits(sel.perturbation, scaled[rows] - points)
+    assert sel.diagnostics.mean_nn_distance == mean_dist
+
+
 @pytest.mark.parametrize("dist", ["D1", "D3"])
 def test_paper_data_claim_single_candidates_match_greedy_oracle(dist):
     # on the paper's predictors one row passes the screen for nearly every
