@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSample, DimensionTooSmall
-from .linalg import _require_int, _require_noise_scale
+from .linalg import _as_float, _as_matrix, _as_vector, _require_int, _require_noise_scale
 
 DISTRIBUTIONS = ("D1", "D2", "D3")
 MISSPECIFICATIONS = ("H1", "H2", "H3", "H4", "H5")
@@ -103,8 +103,9 @@ def _check_dim(kind: str, p: int) -> None:
 
 
 def misspec_values(kind: str, X: np.ndarray, constant: float) -> np.ndarray:
-    """Vectorized h(x_i) for every row of X (coordinates are 1-based)."""
-    X = np.asarray(X, dtype=np.float64)
+    """Vectorized h(x_i) for every row of X (coordinates are 1-based). X goes
+    through ``linalg._as_matrix``: a finite real 2-d matrix."""
+    X = _as_matrix(X)
     _check_dim(kind, X.shape[1])
     if kind == "H1":
         return np.zeros(X.shape[0])
@@ -130,8 +131,9 @@ def calibrate_constant(kind: str, X: np.ndarray) -> float:
 
 def make_misspec(kind: str, X: np.ndarray) -> MisspecTerm:
     """Build the shape term for a dataset: H1 is zero, H2 has the fixed
-    multiplier 10, H3-H5 get a per-sample calibrated constant."""
-    _check_dim(kind, np.asarray(X).shape[1])
+    multiplier 10, H3-H5 get a per-sample calibrated constant. X is checked
+    as by :func:`misspec_values`."""
+    _check_dim(kind, _as_matrix(X).shape[1])
     if kind == "H1":
         return MisspecTerm(kind="H1", constant=0.0)
     if kind == "H2":
@@ -146,13 +148,14 @@ def gen_response(
     sigma2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """y_i = x_i @ beta0 + h(x_i) + sigma * z_i with standard normal z."""
-    X = np.asarray(X, dtype=np.float64)
-    beta0 = np.asarray(beta0, dtype=np.float64).reshape(-1)
-    if beta0.shape[0] != X.shape[1]:
-        raise ValueError("beta0 length must match the number of columns")
+    """y_i = x_i @ beta0 + h(x_i) + sigma * z_i with standard normal z.
+
+    X goes through ``linalg._as_matrix`` and beta0 through ``_as_vector``:
+    a finite real vector with one entry per column of X."""
+    h = misspec_values(misspec.kind, X, misspec.constant)  # checks X by _as_matrix
+    X = _as_float(X, "matrix")  # checked above, so cast only: no second finite pass
+    beta0 = _as_vector(beta0, "beta0", X.shape[1])
     _require_noise_scale(sigma2, "sigma2")
-    h = misspec_values(misspec.kind, X, misspec.constant)
     return X @ beta0 + h + np.sqrt(sigma2) * rng.standard_normal(X.shape[0])
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateBox, InfeasibleDesign
-from .linalg import _aligned_empty, _require_int
+from .linalg import _aligned_empty, _as_vector, _require_int
 
 DEFAULT_KAPPA_TARGET = 1.13
 _MAX_RESTARTS = 20
@@ -25,18 +25,15 @@ _MAX_D2_BYTES = 2 * 2**30  # the descent's D2 slabs may take this much: r <= 231
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned design space: per-dimension [lower_j, upper_j]."""
+    """Axis-aligned design space: per-dimension [lower_j, upper_j], two
+    finite real vectors of equal length by ``linalg._as_vector``."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64).reshape(-1)
-        up = np.asarray(self.upper, dtype=np.float64).reshape(-1)
-        if lo.shape != up.shape:
-            raise ValueError("lower and upper must have equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-            raise ValueError("box bounds must be finite")
+        lo = _as_vector(self.lower, "lower")
+        up = _as_vector(self.upper, "upper", lo.shape[0])
         if np.any(lo >= up):
             raise DegenerateBox("every dimension needs lower < upper")
         object.__setattr__(self, "lower", lo)

@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import AssumptionViolated
 from .linalg import (
     _as_matrix,
+    _as_vector,
     _require_alpha,
     _require_full_rank,
     _require_noise_scale,
@@ -84,13 +85,12 @@ def mse_decompose(X_sub, h_sub, sigma2: float) -> MseReport:
 
     variance_term = sigma2 * tr[(X'X)^{-1}] = sigma2 * sum(1/s_j^2);
     bias_sq_term = || (X'X)^{-1} X' h ||^2, evaluated through a least-squares
-    solve of h against X.
+    solve of h against X. h_sub must be a finite real vector with one entry
+    per row of X_sub (``linalg._as_vector``).
     """
     X_sub = _as_matrix(X_sub)
     _require_noise_scale(sigma2, "sigma2")
-    h = np.asarray(h_sub, dtype=np.float64).reshape(-1)
-    if h.shape[0] != X_sub.shape[0]:
-        raise ValueError("h_sub length must match the subsample size")
+    h = _as_vector(h_sub, "h_sub", X_sub.shape[0])
     u, s, vt = _svd_full_rank(X_sub, "mse_decompose")
     qh = vt.T @ ((u.T @ h) / s)
     return MseReport(
@@ -190,10 +190,11 @@ def fit_huber_m(X, y) -> HuberFit:
     efficiency tuning, with the scale re-estimated each iteration as the
     normalized median absolute residual. Converged once the largest
     coefficient step is at most 1e-8 max(1, max|beta|); after 100 iterations
-    the last iterate is returned with ``converged=False``.
+    the last iterate is returned with ``converged=False``. X and y are
+    checked as by :func:`least_squares`.
     """
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = _as_vector(y, "y", X.shape[0])
     return _huber_irls(X, y, least_squares(X, y))
 
 

@@ -63,7 +63,7 @@ from .exceptions import (
     LowconError,
     RankDeficient,
 )
-from .linalg import _require_int, least_squares, singular_values
+from .linalg import _as_vector, _require_int, least_squares, singular_values
 from .samplers import _SAMPLERS, _Prepared, _frozen
 
 METHODS = tuple(_SAMPLERS)
@@ -247,9 +247,12 @@ class Dataset:
     ``X_raw`` (n x p) and ``y`` (n entries, or None) are stored as the
     dataset's own C-contiguous float64 copies, marked read-only, so what is
     kept cannot go stale: neither the dataset nor a later run sees a write to
-    the arrays it was built from. ``X_raw`` must be a finite 2-d matrix with
-    at least one row and one column, and ``y``, when given, finite with one
-    entry per row; each failure raises ``ValueError`` naming the cause.
+    the arrays it was built from. Both go through the package's one array
+    intake (``linalg._as_matrix`` and ``_as_vector``): ``X_raw`` must be a
+    finite real 2-d matrix with at least one row and one column, and ``y``,
+    when given, a finite real 1-d vector with one entry per row. Each failure
+    raises ``ValueError`` naming the cause, prefixed ``X_raw:`` for X; a
+    complex dtype is refused, never cast.
 
     The first ``run_emse`` on a dataset builds, and every later one reuses:
 
@@ -271,23 +274,16 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        X = _frozen(self.X_raw)
         try:
-            sample = _Prepared(X)  # the package's matrix check
+            sample = _frozen(self.X_raw)
         except ValueError as exc:
             raise ValueError(f"X_raw: {exc}") from None
-        object.__setattr__(self, "X_raw", X)
+        object.__setattr__(self, "X_raw", sample.X)
         object.__setattr__(self, "_sample", sample)
-        if self.y is None:
-            return
-        y = np.array(self.y, dtype=np.float64, order="C").reshape(-1)
-        if y.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"y has {y.shape[0]} entries, expected one per row of X_raw ({X.shape[0]})")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y entries must be finite")
-        y.flags.writeable = False
-        object.__setattr__(self, "y", y)
+        if self.y is not None:
+            y = _as_vector(self.y, "y", sample.X.shape[0]).copy()
+            y.flags.writeable = False
+            object.__setattr__(self, "y", y)
 
     @cached_property
     def _surrogate_fits(self) -> dict:
@@ -301,15 +297,16 @@ class Dataset:
 class HiddenResponses:
     """Response vector revealed only at explicitly requested indices.
 
-    ``reads`` counts every revealed entry (duplicates included), so a
-    measurement-constrained run can assert it spent exactly r observations
-    per replicate per method. ``reveal`` takes row numbers of any integer
-    dtype, or an empty sequence; a bool mask or float indices raise
-    ``ValueError`` naming the dtype, and reveal nothing.
+    ``values`` must be a finite real 1-d vector (``linalg._as_vector``);
+    a float64 one is held, not copied. ``reads`` counts every revealed entry
+    (duplicates included), so a measurement-constrained run can assert it
+    spent exactly r observations per replicate per method. ``reveal`` takes
+    row numbers of any integer dtype, or an empty sequence; a bool mask or
+    float indices raise ``ValueError`` naming the dtype, and reveal nothing.
     """
 
     def __init__(self, values):
-        self._values = np.asarray(values, dtype=np.float64).reshape(-1)
+        self._values = _as_vector(values, "values")
         self.reads = 0
 
     def __len__(self) -> int:
@@ -379,8 +376,10 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                row_fields: dict, order) -> SimulationResult:
     """Select, reveal, fit and score every (method, r) cell.
 
-    ``draw(r, i, attempt)`` returns ``(sample, y, targets, fit_design)``:
-    the prepared predictors the samplers see, the responses to hide, the
+    ``draw(r, i, attempt)`` returns ``(sample, hidden, targets, fit_design)``:
+    the prepared predictors the samplers see, the ``HiddenResponses`` they
+    reveal from (one per draw, or one shared by every draw; each method's
+    reads are the change in ``hidden.reads`` over its attempt), the
     coefficient vectors each fit is scored against by name (one row per
     name, the same names on every draw), and the map from selected rows of X
     to the fitted design. Attempt 0 of a replicate is shared by every method.
@@ -402,8 +401,8 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
             base = draw(r, i, 0)
             for m in config.methods:
                 for attempt in range(_MAX_ATTEMPTS):
-                    sample, y, targets, fit_design = draw(r, i, attempt) if attempt else base
-                    hidden = HiddenResponses(y)
+                    sample, hidden, targets, fit_design = draw(r, i, attempt) if attempt else base
+                    before = hidden.reads
                     rng = _sampler_rng(config.seed, key, r, i, attempt, m)
                     t0 = time.perf_counter()
                     try:
@@ -417,7 +416,7 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
                             continue  # a fresh draw may fit; other errors recur
                         break
                     finally:
-                        spent[m][i] += hidden.reads
+                        spent[m][i] += hidden.reads - before
                     ms = (time.perf_counter() - t0) * 1e3
                     sq = {t: float(np.sum((fit.beta - b) ** 2)) for t, b in targets.items()}
                     done[m][i] = (sq, sel.diagnostics.kappa_sub, ms)
@@ -428,15 +427,15 @@ def _run_cells(config: ExperimentConfig, label: tuple, key: tuple, draw,
             if cell_failed:
                 failed.append((*label, m, r, type(error[m]).__name__))
                 last_error = f"{failed[-1][-1]}: {error[m]}"
+            kappa = float(np.median([rec[1] for rec in ok])) if ok else np.nan
+            runtime = float(np.mean([rec[2] for rec in ok])) if ok else np.nan
             for t in base[2]:
                 mse = np.nan if cell_failed else float(np.mean([rec[0][t] for rec in ok]))
                 with np.errstate(divide="ignore"):
                     log_mse = float(np.log(mse)) if np.isfinite(mse) else np.nan
                 rows.append(ResultRow(
-                    method=m, misspec=t, r=r, theta=config.theta,
-                    replicate_count=len(ok), mse=mse, log_mse=log_mse,
-                    median_kappa=float(np.median([rec[1] for rec in ok])) if ok else np.nan,
-                    mean_runtime_ms=float(np.mean([rec[2] for rec in ok])) if ok else np.nan,
+                    method=m, misspec=t, r=r, theta=config.theta, replicate_count=len(ok),
+                    mse=mse, log_mse=log_mse, median_kappa=kappa, mean_runtime_ms=runtime,
                     **row_fields,
                 ))
             reads[(*label, m, r)] = spent[m]
@@ -459,7 +458,7 @@ def run_simulation(config: ExperimentConfig, _replicate_order=None) -> Simulatio
 
     def draw(r, i, attempt):
         X, beta0, y = _simulate_data(config, r, i, attempt)
-        return _Prepared(X), y, {config.misspec: beta0}, lambda M: M
+        return _Prepared(X), HiddenResponses(y), {config.misspec: beta0}, lambda M: M
 
     row_fields = dict(dist=config.dist, n=config.n, p=config.p)
     return _run_cells(config, (config.dist, config.misspec), _cell_key(config),
@@ -515,7 +514,8 @@ def run_emse(dataset: Dataset, config: ExperimentConfig) -> SimulationResult:
     if config.r_list is None:
         config = dataclasses.replace(config, r_list=_default_r_list(p))
     _check_r_list(config.r_list, n, p, config.methods)
-    data = (dataset._sample, dataset.y, dataset._surrogate_fits, _with_intercept)
+    data = (dataset._sample, HiddenResponses(dataset.y), dataset._surrogate_fits,
+            _with_intercept)
     return _run_cells(config, (dataset.name,), (_DIST_CODE["REAL"], 0),
                       lambda r, i, attempt: data, dict(dist=dataset.name, n=n, p=p),
                       range(config.replicates))
@@ -617,9 +617,9 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
 
     The header names the columns, with the ``csv`` module's quoting rules;
     a name repeated in the header means its last column. Column order
-    follows ``predictor_columns``; a name that the response and the
-    predictors repeat raises ``ConfigError``. The data rows follow these
-    rules:
+    follows ``predictor_columns``, a sequence of names: a single string, or
+    a name that the response and the predictors repeat, raises
+    ``ConfigError``. The data rows follow these rules:
 
     * a row that is short of a selected column, or has a selected value
       that is not a number, is dropped and counted;
@@ -640,6 +640,9 @@ def ingest_csv(path, response_column: str, predictor_columns) -> Dataset:
     and a value past the float range is then dropped as non-finite.
     """
     path = Path(path)
+    if isinstance(predictor_columns, str):
+        raise ConfigError(f"predictor_columns must be a sequence of names, "
+                          f"got the string {predictor_columns!r}")
     wanted = [response_column] + list(predictor_columns)
     repeats = [c for i, c in enumerate(wanted) if c in wanted[:i]]
     if repeats:

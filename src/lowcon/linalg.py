@@ -1,13 +1,21 @@
 """Dense linear-algebra primitives shared by every other module.
 
-This module owns six rules that the rest of the package calls rather than
-restates: the size check (an integer that int64 holds, not a bool), the
-noise-scale check (a finite value >= 0), the misspecification-scale check (a
-finite alpha > 0), the matrix check (2-d, non-empty, finite), the rank rule (one
-machine-precision-scaled cutoff, so every caller agrees on what "rank
-deficient" means) and the weighted least-squares solve. All routines work
-from an orthogonal factorization (SVD); nothing here forms an explicit
-matrix inverse.
+This module owns the package's input rules, which the rest of the package
+calls rather than restates: the size check (an integer that int64 holds, not
+a bool), the noise-scale check (a finite value >= 0), the
+misspecification-scale check (a finite alpha > 0), the array intake, the
+rank rule (one machine-precision-scaled cutoff, so every caller agrees on
+what "rank deficient" means) and the weighted least-squares solve. All
+routines work from an orthogonal factorization (SVD); nothing here forms an
+explicit matrix inverse.
+
+The array intake is the one way an input array enters the package, and no
+other module casts its inputs itself. ``_as_float`` casts to float64, with
+no copy of a float64 input, and refuses a complex dtype with one
+``ValueError`` naming that dtype, since the cast would drop the imaginary
+part. ``_as_matrix`` adds the matrix check (2-d, non-empty, finite) and
+``_as_vector`` the vector check (1-d, finite, of the expected length); each
+adds one finite pass over its array.
 """
 
 from __future__ import annotations
@@ -49,13 +57,36 @@ def _require_alpha(alpha) -> None:
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
+def _as_float(a, what: str) -> np.ndarray:
+    """``a`` as a float64 array, not copied when it is one already. A complex
+    dtype raises ValueError naming ``what`` and the dtype, before any cast."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{what} entries must be real, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """X by ``_as_float``, checked to be 2-d, non-empty and finite."""
+    X = _as_float(X, "matrix")
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix entries must be finite")
     return X
+
+
+def _as_vector(v, what: str, length: int | None = None) -> np.ndarray:
+    """v by ``_as_float``, checked to be 1-d, finite and, unless ``length``
+    is None, of that length; each ValueError names ``what``."""
+    v = _as_float(v, what)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be 1-d, got shape {v.shape}")
+    if length is not None and v.shape[0] != length:
+        raise ValueError(f"{what} has {v.shape[0]} entries, expected {length}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} entries must be finite")
+    return v
 
 
 def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -96,20 +127,14 @@ def _weighted_solve(X, y, weights, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The :func:`least_squares` solve, returning ``(beta, s)``: the
     coefficients and the singular values of the sqrt(w)-scaled design."""
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     r, p = X.shape
-    if y.shape[0] != r:
-        raise ValueError(f"y has length {y.shape[0]}, expected {r}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y entries must be finite")
+    y = _as_vector(y, "y", r)
     if r < p:
         raise ValueError(f"need at least as many rows ({r}) as columns ({p})")
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != r:
-            raise ValueError("weights length must match row count")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and positive")
+        w = _as_vector(weights, "weights", r)
+        if np.any(w <= 0.0):
+            raise ValueError("weights must be positive")
         sw = np.sqrt(w)
         X = X * sw[:, None]
         y = y * sw
@@ -145,6 +170,10 @@ def least_squares(X, y, weights=None) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If X fails ``_as_matrix``, y or weights fail ``_as_vector`` at
+        length r (a complex dtype among them), a weight is not positive, or
+        r < p.
     RankDeficient
         If the (scaled) design has numerical rank below p.
     """

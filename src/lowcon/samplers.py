@@ -5,6 +5,9 @@ a :class:`SubsampleSelection`. Probability-weighted samplers (blev, slev)
 attach reciprocal inclusion-probability weights for weighted least squares;
 the rest select rows for a plain fit.
 
+X enters through ``linalg``'s one array intake: ``_Prepared`` checks it by
+``_as_matrix`` (a finite, non-empty, 2-d real matrix, cast to float64; a
+complex dtype raises ``ValueError`` naming it), once per prepared sample.
 Each sampler works on a prepared sample (``_Prepared``), which keeps what the
 samplers derive from X alone. unif, iboss and lowcon build a new sample on
 every public call on a plain matrix (``_prepare``). blev, slev and levunw
@@ -25,6 +28,7 @@ from .designs import Box, DesignMatrix, generate_olhd, rescale_design
 from .exceptions import ConstantColumn, DegenerateBox, LowconError
 from .linalg import (
     _aligned_empty,
+    _as_float,
     _as_matrix,
     _require_int,
     condition_number,
@@ -192,7 +196,7 @@ class _Prepared:
     IBOSS per r (r indices, read-only since every call returns the same
     selection). In all, 8pn + 4(p+1)n + 8n bytes, plus 16n per table, plus
     the IBOSS picks. X is the matrix the sample was built on, for its whole
-    life."""
+    life, checked once by ``linalg._as_matrix``."""
 
     def __init__(self, X):
         self.X = _as_matrix(X)
@@ -210,12 +214,14 @@ class _Prepared:
         return kept
 
 
-def _frozen(X) -> np.ndarray:
-    """A read-only, C-contiguous float64 copy of X (8np bytes), which no
-    caller can write."""
-    A = np.array(X, dtype=np.float64, order="C")
-    A.flags.writeable = False
-    return A
+def _frozen(X) -> _Prepared:
+    """A new prepared sample on a read-only, C-contiguous float64 copy of X
+    (8np bytes), which no caller can write. X is checked before the copy,
+    which replaces the sample's matrix before anything is kept."""
+    sample = _Prepared(X)
+    sample.X = sample.X.copy()
+    sample.X.flags.writeable = False
+    return sample
 
 
 def _prepare(X) -> _Prepared:
@@ -240,27 +246,28 @@ def _leverage_sample(X) -> _Prepared:
     """The prepared sample blev, slev and levunw work on, so that their
     public calls on one X pay for one leverage SVD: X itself when it is one,
     else the kept sample, when X is the array object it was built from and
-    X's contents, as float64, are byte-equal to its copy (compared as int64,
-    so -0.0 differs from 0.0); else a new sample on its own ``_frozen`` copy
-    of X, which no later write to X can make stale, kept in place of the
-    last one. The kept sample holds its 8np-byte copy, the leverages and its
-    draw tables until X is freed or another array's sample is kept. A hit
-    costs one comparison pass over X and the copy in place of the finite
-    check. Objects that take no weak reference, such as lists, get a new
-    sample that is never kept."""
+    X's contents, cast by ``linalg._as_float``, are byte-equal to its copy
+    (compared as int64, so -0.0 differs from 0.0); else a new ``_frozen``
+    sample on its own copy of X, which no later write to X can make stale,
+    kept in place of the last one. The kept sample holds its 8np-byte copy,
+    the leverages and its draw tables until X is freed or another array's
+    sample is kept. A hit costs one comparison pass over X in place of the
+    finite check, which the kept copy passed when it was built. Objects that
+    take no weak reference, such as lists, get a new sample that is never
+    kept."""
     global _last
     if isinstance(X, _Prepared):
         return X
     last = _last
     if last is not None and last[0]() is X:
-        A = np.asarray(X, dtype=np.float64)
+        A = _as_float(X, "matrix")
         if np.array_equal(A.view(np.int64), last[1].X.view(np.int64)):
             return last[1]
     try:
         ref = weakref.ref(X, _forget)
     except TypeError:
         return _Prepared(X)
-    sample = _Prepared(_frozen(X))
+    sample = _frozen(X)
     _last = (ref, sample)
     return sample
 

@@ -558,3 +558,54 @@ def test_emse_past_int64(tmp_path, capsys, field, value, code):
         assert len(err) == 1 and err[0].startswith("config error:") and field in err[0]
     else:
         assert err == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mode": "simulate",', "invalid JSON in cfg.json"),
+    ('[{"mode": "simulate"}]', "config must be a JSON object"),
+], ids=["malformed", "array"])
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_config_not_a_json_object_exit_code(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)] + (["--alpha", "1"] if command == "diagnose" else [])
+    assert main(argv) == 2
+    captured = _single_error_line(capsys, "config error:")
+    assert message in captured.err and captured.out == ""
+
+
+def test_emse_predictors_naming_no_column_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 80))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a - b, a, b])
+    args = _emse_args(tmp_path, data, ["UNIF"])
+    args[args.index("a,b")] = ","
+    assert main(args) == 2
+    err = _single_error_line(capsys, "config error:").err
+    assert "--predictors must name at least one column" in err
+
+
+def test_emse_prints_the_dropped_row_count(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((2, 80))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a - b, a, b])
+    with data.open("a") as fh:
+        fh.write("NA,1.0,2.0\n1.0,,2.0\n")
+    assert main(_emse_args(tmp_path, data, ["UNIF"])) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "dropped 2 incomplete rows"
+    assert captured.err == ""
+
+
+def test_emse_column_scaled_by_1e307_exit_code(tmp_path, capsys):
+    # the full-sample surrogate fit of the intercept design falls under the
+    # rank rule (RANK_RTOL), so the run stops before any cell
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 80))
+    data = tmp_path / "data.csv"
+    _write_csv(data, ["y", "a", "b"], [a - b, a, 1e307 * b])
+    assert main(_emse_args(tmp_path, data, ["UNIF", "LOWCON"])) == 4
+    captured = _single_error_line(capsys, "numerical error: RankDeficient:")
+    assert captured.out == ""

@@ -144,6 +144,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sigma2 must be finite and nonnegative"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"mode": "simulate",', "invalid JSON in cfg.json"),
+        ('[{"mode": "simulate"}]', "config must be a JSON object"),
+    ], ids=["malformed", "array"])
+    def test_load_rejects_what_is_not_a_json_object(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_simulate_mode_rejects_the_toy_distribution(self):
+        with pytest.raises(ConfigError, match="simulate mode needs dist in"):
+            small_config(dist="TOY")
+
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -245,6 +259,49 @@ class TestRunSimulation:
         assert len(res.response_reads) == len(harness.METHODS) * 2
         for (name, _, r), counts in res.response_reads.items():
             assert name == "planted" and counts == [r] * 4
+
+    def test_rejects_a_realdata_config(self):
+        cfg = ExperimentConfig(mode="realdata", n=300, p=4, r_list=(16,))
+        with pytest.raises(ConfigError, match="run_simulation expects simulate/toy mode, "
+                                              "got realdata"):
+            run_simulation(cfg)
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]],
+                             ids=["repeat", "short", "long", "shifted"])
+    def test_replicate_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="_replicate_order must be a permutation"):
+            run_simulation(small_config(), _replicate_order=order)
+
+    def test_row_of_a_missing_cell_raises_key_error(self):
+        res = run_simulation(small_config(replicates=1, methods=("UNIF",)))
+        assert res.row("UNIF", 16).method == "UNIF"
+        for args in [("UNIF", 24, None), ("BLEV", 16, None), ("UNIF", 16, "H2")]:
+            with pytest.raises(KeyError) as info:
+                res.row(*args)
+            assert info.value.args == (args,)
+
+    def test_one_hidden_response_vector_per_draw(self, monkeypatch):
+        # simulate draws per (r, replicate), and every method reveals from
+        # that draw's responses; emse reveals from one per run
+        built = []
+
+        class Counted(HiddenResponses):
+            def __init__(self, values):
+                built.append(len(values))
+                super().__init__(values)
+
+        monkeypatch.setattr(harness, "HiddenResponses", Counted)
+        res = run_simulation(small_config(replicates=3, r_list=(16, 24)))
+        assert built == [300] * 6
+        for (_, _, _, r), counts in res.response_reads.items():
+            assert counts == [r] * 3
+        built.clear()
+        cfg = ExperimentConfig(mode="realdata", n=201, p=3, r_list=(16, 24),
+                               replicates=4, seed=11, methods=harness.METHODS)
+        res = run_emse(planted_dataset(n=200), cfg)
+        assert built == [200]
+        for (_, _, r), counts in res.response_reads.items():
+            assert counts == [r] * 4
 
     def test_row_sorting(self):
         res = run_simulation(small_config(r_list=(16, 24)))
@@ -513,7 +570,7 @@ class TestRunEmse:
         (np.ones((4, 0)), None, r"X_raw: expected a 2-d matrix, got shape \(4, 0\)"),
         ([[1.0, np.nan], [2.0, 3.0]], None, "X_raw: matrix entries must be finite"),
         ([[1.0, np.inf], [2.0, 3.0]], None, "X_raw: matrix entries must be finite"),
-        (np.ones((4, 2)), np.ones(3), r"y has 3 entries, expected one per row of X_raw \(4\)"),
+        (np.ones((4, 2)), np.ones(3), r"^y has 3 entries, expected 4$"),
         (np.ones((4, 2)), [1.0, 2.0, -np.inf, 0.0], "y entries must be finite"),
     ], ids=["X-1d", "X-3d", "X-no-rows", "X-no-columns", "X-nan", "X-inf",
             "y-short", "y-inf"])
@@ -692,6 +749,15 @@ class TestCsvIngestion:
         path.write_text("y,a,b\n1,2,3\n4,5,6\n7,8,9\n")
         with pytest.raises(ConfigError, match=f"repeat column '{name}'$"):
             ingest_csv(path, response, predictors)
+
+    @pytest.mark.parametrize("header, predictors", [("y,a,b", "ab"), ("y,x1", "x1")],
+                             ids=["letters-are-columns", "name-is-a-column"])
+    def test_predictor_string_is_no_column_list(self, tmp_path, header, predictors):
+        # list("ab") would read columns a and b; list("x1") columns x and 1
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + "1," * header.count(",") + "2\n")
+        with pytest.raises(ConfigError, match=f"got the string '{predictors}'$"):
+            ingest_csv(path, "y", predictors)
 
     def test_empty_after_filtering(self, tmp_path):
         path = tmp_path / "d.csv"
